@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's quantitative results (one benchmark
-// per experiment of DESIGN.md's index, delegating to internal/experiments
-// in quick mode) plus micro-benchmarks of the core operations. Run with:
+// per experiment id of cmd/experiments -list, delegating to
+// internal/experiments in quick mode) plus micro-benchmarks of the core
+// operations. Run with:
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -25,6 +26,7 @@ import (
 	rt "repro/internal/runtime"
 	"repro/internal/simplify"
 	"repro/internal/telemetry"
+	"repro/internal/tgds"
 	"repro/internal/tm"
 )
 
@@ -67,7 +69,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
-// Experiment regenerators (see DESIGN.md per-experiment index).
+// Experiment regenerators (see README.md, "Paper results").
 
 func BenchmarkXPDepthGrowth(b *testing.B)         { benchExperiment(b, "XP-DEPTH") }
 func BenchmarkXPDepthBound(b *testing.B)          { benchExperiment(b, "XP-DEPTH-BOUND") }
@@ -512,22 +514,32 @@ func BenchmarkCompletion(b *testing.B) {
 }
 
 // BenchmarkLinearize measures full reachable linearization of a guarded
-// set.
+// set at two database sizes drawn like the benchmark's guarded-admit pool
+// (default random configuration, 200 constants). The ChTrm(G) decider is
+// linear in the completion, so ns/fact should stay flat from 375 to 1500
+// facts; CI gates facts-1500's allocs/op.
 func BenchmarkLinearize(b *testing.B) {
-	sigma := parser.MustParseRules(`
-		e(X, Y), s(X) -> ∃Z e(Y, Z).
-		e(X, Y), s(X) -> s(Y).
-	`)
-	db := parser.MustParseDatabase(`e(a, b). s(a). e(b, b).`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, err := guarded.NewLinearizer(sigma)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := l.Linearize(db); err != nil {
-			b.Fatal(err)
-		}
+	rng := rand.New(rand.NewSource(1))
+	sigma := families.RandomGuarded(rng, families.DefaultRandomConfig())
+	for sigma.Classify() != tgds.ClassG {
+		sigma = families.RandomGuarded(rng, families.DefaultRandomConfig())
+	}
+	for _, facts := range []int{375, 1500} {
+		db := families.RandomDatabase(rng, sigma, facts, 200)
+		b.Run(fmt.Sprintf("facts-%d", facts), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l, err := guarded.NewLinearizer(sigma)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := l.Linearize(db); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*db.Len()), "ns/fact")
+			reportGOMAXPROCS(b)
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command experiments regenerates the paper's quantitative results as
 // tables. Each experiment corresponds to a theorem, proposition or lemma
 // of "Non-Uniformly Terminating Chase: Size and Complexity" (PODS 2022);
-// see DESIGN.md for the index and EXPERIMENTS.md for recorded outputs.
+// -list prints the index, and README.md ("Paper results") describes it.
 //
 // Usage:
 //

@@ -10,9 +10,8 @@
 // contribution). Executables live under cmd/ (chase, chtrm, experiments),
 // runnable scenarios under examples/, and bench_test.go in this directory
 // regenerates every quantitative claim of the paper as a benchmark. See
-// README.md for a tour, DESIGN.md for the system inventory and the
-// per-experiment index, and EXPERIMENTS.md for recorded paper-vs-measured
-// results.
+// README.md for a tour: "Architecture" for the system inventory and
+// "Paper results" for the per-experiment index.
 //
 // The data plane is integer-interned: internal/logic maintains a
 // process-wide symbol table mapping every term and predicate to a dense

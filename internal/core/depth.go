@@ -15,7 +15,7 @@ import (
 // assumes every null is introduced along a special edge, but a TGD with
 // an empty frontier (for example p(x,y) → ∃z q(z)) induces no special
 // edges at all while its nulls have depth 1, which shifts downstream
-// depths by one (DESIGN.md, deviation 5). When such a TGD is supported by
+// depths by one. When such a TGD is supported by
 // the database we therefore add one. The returned bound satisfies
 //
 //	maxdepth(D, Σ) ≤ PredictDepthSL(D, Σ) ≤ d_SL(Σ) + 1.

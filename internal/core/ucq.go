@@ -89,8 +89,9 @@ func dangerous(sigma *tgds.Set) []logic.Predicate {
 
 // EvalEquality evaluates the UCQ under the paper's displayed semantics:
 // a disjunct is satisfied by an atom R(t̄) if t_i = t_j whenever
-// ℓ_i = ℓ_j (atoms with strictly more equalities also satisfy it). See
-// DESIGN.md, deviation 3.
+// ℓ_i = ℓ_j (atoms with strictly more equalities also satisfy it). It can
+// report a witness the syntactic decider rejects; EvalExact is the
+// variant that agrees with it.
 func (q UCQ) EvalEquality(db *logic.Instance) bool {
 	return q.eval(db, func(args []logic.Term, pattern []int) bool {
 		for i := range pattern {

@@ -10,7 +10,7 @@ import (
 
 // Config tunes experiment sweeps. Quick mode shrinks parameters so that
 // the full registry runs in seconds (used by tests and benchmarks); the
-// default mode reproduces the numbers recorded in EXPERIMENTS.md.
+// default mode runs the full sweeps behind the paper's results.
 type Config struct {
 	Quick bool
 	// Workers bounds the job pool that pool-backed experiments (currently

@@ -3,8 +3,9 @@
 // depth results (Proposition 4.5, Lemmas 6.2/7.4/8.2, Lemma 5.1), the
 // preservation results (Propositions 7.3 and 8.1), the decision-procedure
 // shapes (Theorems 6.6, 7.7, 8.5), and the Appendix A reduction. Each
-// experiment has a stable identifier (XP-...) used by DESIGN.md,
-// EXPERIMENTS.md, cmd/experiments and bench_test.go.
+// experiment has a stable identifier (XP-...) used by cmd/experiments
+// (-list prints the index) and bench_test.go; README.md, "Paper results",
+// describes the index.
 package experiments
 
 import (

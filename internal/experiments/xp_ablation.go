@@ -15,7 +15,7 @@ func init() {
 	register(Experiment{
 		ID:    "XP-ABLATION",
 		Title: "ablation: semi-naive delta matching in the chase engine",
-		Claim: "(design choice, DESIGN.md) delta-restricted rounds keep work proportional to new atoms",
+		Claim: "(design choice) delta-restricted rounds keep work proportional to new atoms",
 		Run:   runAblation,
 	})
 	register(Experiment{
@@ -107,6 +107,6 @@ func runLinTypes(cfg Config) (*Table, error) {
 		t.AddRow(c.name, len(c.sigma.Schema()), c.sigma.Arity(),
 			fmt.Sprintf("%.0f", log2Bound), l.TypeCount(), linSigma.Len())
 	}
-	t.Note("demand-driven generation from lin(D) is what makes the ChTrm(G) decider practical (DESIGN.md)")
+	t.Note("demand-driven generation from lin(D) is what makes the ChTrm(G) decider practical (reachable linearization, internal/guarded)")
 	return t, nil
 }

@@ -140,6 +140,6 @@ func runUCQ(cfg Config) (*Table, error) {
 		}
 	}
 	t.AddRow("L", ran, exactOK, eqOK, superset)
-	t.Note("'equality' is the paper's displayed UCQ semantics; 'exact' matches simple(D) membership (DESIGN.md deviation 3)")
+	t.Note("'equality' is the paper's displayed UCQ semantics; 'exact' matches simple(D) membership (see core.UCQ.EvalEquality)")
 	return t, nil
 }

@@ -21,8 +21,8 @@ import (
 //
 // Three of the paper's displayed TGDs (the DPivot/DChange base rules and
 // the NonMaxDepth rule) lack a guard and leave the 0/1 bindings free; we
-// prepend the Did atom as guard exactly as the paper's own Succ rules do
-// (DESIGN.md, deviation 1). The stratum-increment rules are generated for
+// prepend the Did atom as guard exactly as the paper's own Succ rules do.
+// The stratum-increment rules are generated for
 // every i ∈ [n] (the paper displays i ∈ {2..n}, which would leave the new
 // root's S_1 bit unset).
 func GLower(l, n, m int) Workload {

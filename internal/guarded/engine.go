@@ -2,6 +2,7 @@ package guarded
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/tgds"
@@ -12,15 +13,19 @@ import (
 // linearization) share work.
 type Engine struct {
 	sigma  *tgds.Set
-	states map[string]*state
+	states map[string]*state // canonicalizer key -> closure
 	order  []*state
 	fresh  int // placeholder counter
+	// Reused scratch: deriveOver never re-enters itself.
+	matcher logic.Matcher
+	canon   canonicalizer
+	own     []bool  // own[i]: the term canon renames to i+1 is own
+	ids     []int32 // id tuple of a lifted atom
 }
 
 // state is the memoized closure of a canonical type: the atoms over the
 // type's guard domain known to be in the chase.
 type state struct {
-	typ   *Type
 	atoms *logic.Instance
 }
 
@@ -35,15 +40,19 @@ func NewEngine(sigma *tgds.Set) (*Engine, error) {
 	return &Engine{sigma: sigma, states: make(map[string]*state)}, nil
 }
 
-func (e *Engine) getState(t *Type) *state {
-	if s, ok := e.states[t.Key()]; ok {
+// stateOf returns the closure of the guard's canonical type over the atoms
+// of the instance and the extra atoms within its domain, seeding it on
+// first sight. It leaves the canonicalizer's renaming reset to the guard.
+func (e *Engine) stateOf(guard *logic.Atom, in *logic.Instance, extra []*logic.Atom) *state {
+	key := e.canon.keyOver(guard, in, extra)
+	if s, ok := e.states[string(key)]; ok {
 		return s
 	}
-	s := &state{typ: t, atoms: logic.NewInstance()}
-	for _, a := range t.Atoms {
+	s := &state{atoms: logic.NewInstance()}
+	for _, a := range e.canon.ren.build(guard, e.canon.atoms).Atoms {
 		s.atoms.Add(a)
 	}
-	e.states[t.Key()] = s
+	e.states[string(key)] = s
 	e.order = append(e.order, s)
 	return s
 }
@@ -93,18 +102,15 @@ func (e *Engine) expandState(s *state) bool {
 // closures are looked up (and seeded on demand); atoms of a child closure
 // that mention only own terms are lifted back.
 func (e *Engine) deriveOver(atoms *logic.Instance, keep map[int32]bool) []*logic.Atom {
-	isOwn := func(t logic.Term) bool {
+	isOwn := func(t logic.Term, id int32) bool {
 		if _, ph := t.(placeholder); ph {
 			return false
 		}
-		if keep != nil {
-			return keep[logic.IDOf(t)]
-		}
-		return true
+		return keep == nil || keep[id]
 	}
 	ownAtom := func(a *logic.Atom) bool {
-		for _, t := range a.Args {
-			if !isOwn(t) {
+		for i, t := range a.Args {
+			if !isOwn(t, a.ArgID(i)) {
 				return false
 			}
 		}
@@ -114,8 +120,8 @@ func (e *Engine) deriveOver(atoms *logic.Instance, keep map[int32]bool) []*logic
 	var additions []*logic.Atom
 	for _, t := range e.sigma.TGDs {
 		t := t
-		logic.MatchAll(t.Body, atoms, -1, func(h logic.Substitution) bool {
-			mu := h.Clone()
+		e.matcher.MatchAllExt(t.Body, atoms, -1, func(m *logic.Match) bool {
+			mu := m.Substitution()
 			for _, z := range t.Existential() {
 				mu[z] = e.nextPlaceholder()
 			}
@@ -132,16 +138,27 @@ func (e *Engine) deriveOver(atoms *logic.Instance, keep map[int32]bool) []*logic
 				}
 				// Child node: known atoms over dom(ha) from the current
 				// node and the sibling head atoms.
-				known := collectOver(atoms, heads, ha)
-				childType, ren := Canonicalize(ha, known)
-				child := e.getState(childType)
+				child := e.stateOf(ha, atoms, heads)
+				ren := &e.canon.ren
+				e.own = e.own[:0]
+				for i, t := range ren.terms {
+					e.own = append(e.own, isOwn(t, ren.ids[i]))
+				}
+				// Lift the child's atoms over own terms; an atom the node
+				// already holds is recognized by its id tuple and costs
+				// no allocation.
+			lift:
 				for _, ca := range child.atoms.Atoms() {
-					orig, ok := ren.InvertAtom(ca)
-					if !ok {
-						continue
+					e.ids = e.ids[:0]
+					for _, t := range ca.Args {
+						f, ok := t.(logic.Fresh)
+						if !ok || f < 1 || int(f) > len(e.own) || !e.own[f-1] {
+							continue lift
+						}
+						e.ids = append(e.ids, ren.ids[f-1])
 					}
-					if ownAtom(orig) && !atoms.Has(orig) {
-						additions = append(additions, orig)
+					if !atoms.HasIDs(ca.PredID(), e.ids) {
+						additions = append(additions, ren.atomOf(ca, slices.Clone(e.ids)))
 					}
 				}
 			}
@@ -149,38 +166,6 @@ func (e *Engine) deriveOver(atoms *logic.Instance, keep map[int32]bool) []*logic
 		})
 	}
 	return additions
-}
-
-// collectOver gathers the atoms of the instance plus the extra atoms whose
-// terms all lie within the guard atom's domain.
-func collectOver(in *logic.Instance, extra []*logic.Atom, guard *logic.Atom) []*logic.Atom {
-	dom := make(map[int32]bool, len(guard.Args))
-	for i := range guard.Args {
-		dom[guard.ArgID(i)] = true
-	}
-	within := func(a *logic.Atom) bool {
-		for i := range a.Args {
-			if !dom[a.ArgID(i)] {
-				return false
-			}
-		}
-		return true
-	}
-	var out []*logic.Atom
-	seen := make(map[string]bool)
-	for _, a := range in.Atoms() {
-		if within(a) && !seen[a.Key()] {
-			seen[a.Key()] = true
-			out = append(out, a)
-		}
-	}
-	for _, a := range extra {
-		if within(a) && !seen[a.Key()] {
-			seen[a.Key()] = true
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // Complete returns complete(I, Σ): every atom of chase(I, Σ) whose terms
@@ -225,14 +210,4 @@ func (e *Engine) Complete(in *logic.Instance) *logic.Instance {
 			}
 		}
 	}
-}
-
-// TypeOf returns type_{D,Σ}(α): the atoms of chase(D, Σ) that mention only
-// terms of α. The atom must belong to the database.
-func TypeOf(db *logic.Instance, sigma *tgds.Set, a *logic.Atom) ([]*logic.Atom, error) {
-	c, err := Complete(db, sigma)
-	if err != nil {
-		return nil, err
-	}
-	return AtomsOver(c, a), nil
 }

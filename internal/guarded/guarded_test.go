@@ -316,15 +316,17 @@ func TestEngineRejectsUnguarded(t *testing.T) {
 	}
 }
 
+// type_{D,Σ}(α) is collectOver over the completion and dom(α).
 func TestTypeOf(t *testing.T) {
 	sigma := parser.MustParseRules(`
 		r(X, Y) -> q(X).
 	`)
 	db := parser.MustParseDatabase(`r(a, b). r(b, a).`)
-	atoms, err := TypeOf(db, sigma, db.Atoms()[0])
+	c, err := Complete(db, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
+	atoms := collectOver(nil, c, nil, domOf(db.Atoms()[0]))
 	// type(r(a,b)) = {r(a,b), r(b,a), q(a), q(b)}: all chase atoms over
 	// {a,b}.
 	if len(atoms) != 4 {

@@ -11,7 +11,7 @@ import (
 
 // TypeInfo associates a canonical Σ-type with its generated type predicate
 // [τ]. The predicate keeps the full arity of the underlying guard
-// predicate (see DESIGN.md, deviation 2: the full-arity convention).
+// predicate (the full-arity convention of the package comment).
 type TypeInfo struct {
 	Type *Type
 	Pred logic.Predicate
@@ -21,13 +21,13 @@ type TypeInfo struct {
 // the paper's Appendix ("Linearization"). The paper's lin(Σ) ranges over
 // all Σ-types; the linearizer generates only the types reachable from
 // lin(D), which is sound and complete for chase equivalence and for the
-// ChTrm(G) decider (DESIGN.md, "Reachable linearization").
+// ChTrm(G) decider (reachable linearization, see the package comment).
 type Linearizer struct {
 	sigma  *tgds.Set
 	engine *Engine
-	reg    map[string]*TypeInfo // type key -> info
+	reg    map[string]*TypeInfo // canonicalizer key -> info
 	byPred map[logic.Predicate]*TypeInfo
-	names  int
+	canon  canonicalizer
 }
 
 // NewLinearizer validates guardedness and returns a linearizer for Σ.
@@ -44,18 +44,21 @@ func NewLinearizer(sigma *tgds.Set) (*Linearizer, error) {
 	}, nil
 }
 
-// intern registers (or retrieves) the type predicate for a canonical type.
-func (l *Linearizer) intern(t *Type) *TypeInfo {
-	if info, ok := l.reg[t.Key()]; ok {
+// typeOf returns the type predicate of α's canonical type in the
+// completed instance (the atoms within dom(α)), registering it on first
+// sight. Finding an already registered type allocates nothing.
+func (l *Linearizer) typeOf(completed *logic.Instance, a *logic.Atom) *TypeInfo {
+	key := l.canon.keyOver(a, completed, nil)
+	if info, ok := l.reg[string(key)]; ok {
 		return info
 	}
-	l.names++
-	name := "[τ" + strconv.Itoa(l.names) + ":" + t.Guard.Pred.Name + "]"
+	t := l.canon.ren.build(a, l.canon.atoms)
+	name := "[τ" + strconv.Itoa(len(l.reg)+1) + ":" + t.Guard.Pred.Name + "]"
 	info := &TypeInfo{
 		Type: t,
 		Pred: logic.Predicate{Name: name, Arity: t.Guard.Pred.Arity},
 	}
-	l.reg[t.Key()] = info
+	l.reg[string(key)] = info
 	l.byPred[info.Pred] = info
 	return info
 }
@@ -82,9 +85,7 @@ func (l *Linearizer) Database(db *logic.Instance) (*logic.Instance, error) {
 	completed := l.engine.Complete(db)
 	out := logic.NewInstance()
 	for _, a := range db.Atoms() {
-		typ, _ := Canonicalize(a, AtomsOver(completed, a))
-		info := l.intern(typ)
-		out.Add(logic.NewAtom(info.Pred, a.Args...))
+		out.Add(logic.NewAtom(l.typeOf(completed, a).Pred, a.Args...))
 	}
 	return out, nil
 }
@@ -97,12 +98,12 @@ func (l *Linearizer) Linearize(db *logic.Instance) (*logic.Instance, *tgds.Set, 
 		return nil, nil, err
 	}
 	out := tgds.NewSet()
-	var queue []*Type
-	visited := make(map[string]bool)
-	enqueue := func(t *Type) {
-		if !visited[t.Key()] {
-			visited[t.Key()] = true
-			queue = append(queue, t)
+	var queue []*TypeInfo
+	visited := make(map[*TypeInfo]bool)
+	enqueue := func(info *TypeInfo) {
+		if !visited[info] {
+			visited[info] = true
+			queue = append(queue, info)
 		}
 	}
 	for _, a := range linDB.Atoms() {
@@ -110,12 +111,12 @@ func (l *Linearizer) Linearize(db *logic.Instance) (*logic.Instance, *tgds.Set, 
 		if !ok {
 			return nil, nil, fmt.Errorf("guarded: unregistered predicate %v", a.Pred)
 		}
-		enqueue(info.Type)
+		enqueue(info)
 	}
 	for len(queue) > 0 {
-		t := queue[0]
+		info := queue[0]
 		queue = queue[1:]
-		rules, children, err := l.linearizeType(t)
+		rules, children, err := l.linearizeType(info)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -132,13 +133,14 @@ func (l *Linearizer) Linearize(db *logic.Instance) (*logic.Instance, *tgds.Set, 
 // linearizeType produces the linearizations of every σ ∈ Σ induced by the
 // type τ and a homomorphism h from body(σ) to atoms(τ) mapping guard(σ)
 // onto guard(τ), together with the head types they mention.
-func (l *Linearizer) linearizeType(t *Type) ([]*tgds.TGD, []*Type, error) {
+func (l *Linearizer) linearizeType(info *TypeInfo) ([]*tgds.TGD, []*TypeInfo, error) {
+	t := info.Type
 	tatoms := logic.NewInstance()
 	for _, a := range t.Atoms {
 		tatoms.Add(a)
 	}
 	var rules []*tgds.TGD
-	var children []*Type
+	var children []*TypeInfo
 	arSigma := l.sigma.Arity()
 	for _, sig := range l.sigma.TGDs {
 		guard := sig.Guard()
@@ -150,7 +152,7 @@ func (l *Linearizer) linearizeType(t *Type) ([]*tgds.TGD, []*Type, error) {
 			return true
 		})
 		for _, h := range homs {
-			rule, kids, err := l.linearizeTrigger(t, sig, h, arSigma)
+			rule, kids, err := l.linearizeTrigger(info, sig, h, arSigma)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -161,7 +163,7 @@ func (l *Linearizer) linearizeType(t *Type) ([]*tgds.TGD, []*Type, error) {
 	return rules, children, nil
 }
 
-func (l *Linearizer) linearizeTrigger(t *Type, sig *tgds.TGD, h logic.Substitution, arSigma int) (*tgds.TGD, []*Type, error) {
+func (l *Linearizer) linearizeTrigger(info *TypeInfo, sig *tgds.TGD, h logic.Substitution, arSigma int) (*tgds.TGD, []*TypeInfo, error) {
 	// f maps head variables to canonical integers: frontier variables to
 	// their h-images, the i-th existential variable to ar(Σ)+i.
 	f := h.Clone()
@@ -174,7 +176,7 @@ func (l *Linearizer) linearizeTrigger(t *Type, sig *tgds.TGD, h logic.Substituti
 	}
 	// I = {α1..αm} ∪ atoms(τ), completed.
 	inst := logic.NewInstance()
-	for _, a := range t.Atoms {
+	for _, a := range info.Type.Atoms {
 		inst.Add(a)
 	}
 	for _, a := range alphas {
@@ -182,14 +184,12 @@ func (l *Linearizer) linearizeTrigger(t *Type, sig *tgds.TGD, h logic.Substituti
 	}
 	completed := l.engine.Complete(inst)
 
-	body := logic.NewAtom(l.intern(t).Pred, sig.Guard().Args...)
+	body := logic.NewAtom(info.Pred, sig.Guard().Args...)
 	heads := make([]*logic.Atom, len(sig.Head))
-	var children []*Type
+	children := make([]*TypeInfo, len(alphas))
 	for i, alpha := range alphas {
-		childType, _ := Canonicalize(alpha, AtomsOver(completed, alpha))
-		info := l.intern(childType)
-		heads[i] = logic.NewAtom(info.Pred, sig.Head[i].Args...)
-		children = append(children, childType)
+		children[i] = l.typeOf(completed, alpha)
+		heads[i] = logic.NewAtom(children[i].Pred, sig.Head[i].Args...)
 	}
 	rule, err := tgds.New([]*logic.Atom{body}, heads)
 	if err != nil {

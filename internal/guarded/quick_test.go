@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/logic"
+	"repro/internal/parser"
 )
 
 // Property: canonicalization is invariant under injective renaming of the
@@ -89,5 +90,77 @@ func TestCanonicalGuardShape(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: the canonicalizer's id key identifies exactly what Type.Key
+// identifies. Guards and side atoms come from a tiny space (two guard
+// patterns, seven possible side atoms), so equal types are frequent.
+func TestCanonicalKeyMatchesTypeKey(t *testing.T) {
+	a, b, c := logic.Constant("a"), logic.Constant("b"), logic.Constant("c")
+	mk := func(x, y logic.Term, sides uint8) (*logic.Atom, []*logic.Atom) {
+		guard := logic.MakeAtom("G", x, y)
+		all := []*logic.Atom{
+			logic.MakeAtom("S", x), logic.MakeAtom("S", y),
+			logic.MakeAtom("T", x, y), logic.MakeAtom("T", y, x),
+			logic.MakeAtom("T", x, x), logic.MakeAtom("G", y, x),
+			guard, // the guard itself, as gathered atoms include it
+		}
+		var atoms []*logic.Atom
+		for i, s := range all {
+			if sides&(1<<i) != 0 {
+				atoms = append(atoms, s)
+			}
+		}
+		return guard, atoms
+	}
+	var canon canonicalizer
+	keyOf := func(guard *logic.Atom, atoms []*logic.Atom) string {
+		canon.ren.reset(guard)
+		return string(canon.keyOf(guard, atoms))
+	}
+	f := func(rep1, rep2 bool, s1, s2 uint8) bool {
+		y1, y2 := logic.Term(b), logic.Term(a)
+		if rep1 {
+			y1 = a
+		}
+		if rep2 {
+			y2 = c
+		}
+		g1, at1 := mk(a, y1, s1)
+		g2, at2 := mk(c, y2, s2)
+		t1, _ := Canonicalize(g1, at1)
+		t2, _ := Canonicalize(g2, at2)
+		return (keyOf(g1, at1) == keyOf(g2, at2)) == (t1.Key() == t2.Key())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Looking up an already registered type allocates nothing.
+func TestTypeLookupHitAllocatesNothing(t *testing.T) {
+	sigma := parser.MustParseRules(`
+		e(X, Y), s(X) -> ∃Z e(Y, Z).
+		e(X, Y), s(X) -> s(Y).
+	`)
+	db := parser.MustParseDatabase(`e(a, b). s(a). e(b, b). e(b, a).`)
+	l, err := NewLinearizer(sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.Linearize(db); err != nil {
+		t.Fatal(err)
+	}
+	completed := l.engine.Complete(db)
+	fact := db.Atoms()[0]
+	want := l.typeOf(completed, fact)
+	allocs := testing.AllocsPerRun(100, func() {
+		if l.typeOf(completed, fact) != want {
+			t.Fatal("type changed between lookups")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("registered type lookup: %v allocs, want 0", allocs)
 	}
 }

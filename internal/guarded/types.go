@@ -11,10 +11,32 @@
 // global fixpoint over canonical (guard pattern, known atoms) nodes with
 // memoized closures; children lift derived atoms over shared terms back to
 // their parents until stabilization.
+//
+// Two conventions differ from the paper's presentation of lin(D), lin(Σ):
+//
+//   - Full-arity convention. The type predicate [τ] keeps the arity of
+//     τ's guard predicate, and lin(D) maps R(t̄) to [τ](t̄) with t̄ as is,
+//     repeated terms included. τ fixes the guard's equality pattern, so
+//     nothing is lost, and the body of a linearized rule is the guard of
+//     the original rule with its arguments verbatim.
+//   - Reachable linearization. The paper's lin(Σ) ranges over all Σ-types,
+//     up to |sch(Σ)|·ar(Σ)^ar(Σ)·2^(|sch(Σ)|·ar(Σ)^ar(Σ)) of them. The
+//     Linearizer generates only the types reachable from the types of
+//     lin(D) through linearized rules. A rule whose body type is never
+//     reached can never fire in the chase of lin(D), so the fragment has
+//     the same chase on lin(D), and the ChTrm(G) decider gives the same
+//     verdict.
+//
+// Linearization runs in time linear in the completion. A type lookup
+// reaches the atoms over a guard's domain through the instance's position
+// index instead of a scan, and finds a memoized type by a canonical key
+// built from interned ids in reused buffers.
 package guarded
 
 import (
-	"sort"
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"strings"
 
 	"repro/internal/logic"
@@ -112,43 +134,89 @@ func makeType(guard *logic.Atom, atoms []*logic.Atom) *Type {
 	return &Type{Guard: guard, Atoms: sorted, key: b.String()}
 }
 
-// Renaming maps original terms (by interned symbol id) to canonical
-// integers and back.
+// Renaming maps a guard atom's distinct terms, in first-occurrence
+// order, to the canonical integers 1..k and back.
 type Renaming struct {
-	fwd map[int32]logic.Fresh
-	inv map[logic.Fresh]logic.Term
+	ids   []int32      // ids[i] is the interned id of the term renamed to i+1
+	terms []logic.Term // aligned with ids
 }
 
-// Forward returns the canonical integer for the term; the boolean reports
-// whether the term is in the renaming's domain.
-func (r *Renaming) Forward(t logic.Term) (logic.Fresh, bool) {
-	f, ok := r.fwd[logic.IDOf(t)]
-	return f, ok
+// reset makes r the renaming of the guard's terms, reusing its buffers.
+func (r *Renaming) reset(guard *logic.Atom) {
+	r.ids, r.terms = r.ids[:0], r.terms[:0]
+	for i, t := range guard.Args {
+		if id := guard.ArgID(i); r.forward(id) == 0 {
+			r.ids = append(r.ids, id)
+			r.terms = append(r.terms, t)
+		}
+	}
 }
 
-// Invert maps a canonical integer back to the original term.
-func (r *Renaming) Invert(f logic.Fresh) (logic.Term, bool) {
-	t, ok := r.inv[f]
-	return t, ok
+// forward returns the canonical integer of a term id, or 0 when the term
+// is outside the renaming's domain.
+func (r *Renaming) forward(id int32) logic.Fresh {
+	for i, d := range r.ids {
+		if d == id {
+			return logic.Fresh(i + 1)
+		}
+	}
+	return 0
 }
 
 // InvertAtom maps an atom over canonical integers back to original terms.
 // The boolean is false if some integer is outside the renaming (which
 // cannot happen for atoms over the type's domain).
 func (r *Renaming) InvertAtom(a *logic.Atom) (*logic.Atom, bool) {
-	args := make([]logic.Term, len(a.Args))
+	ids := make([]int32, len(a.Args))
 	for i, t := range a.Args {
 		f, ok := t.(logic.Fresh)
-		if !ok {
+		if !ok || f < 1 || int(f) > len(r.ids) {
 			return nil, false
 		}
-		orig, ok := r.inv[f]
-		if !ok {
-			return nil, false
-		}
-		args[i] = orig
+		ids[i] = r.ids[f-1]
 	}
-	return logic.NewAtom(a.Pred, args...), true
+	return r.atomOf(a, ids), true
+}
+
+// atomOf builds the original-term atom of the canonical atom a from its
+// inverted id tuple, which it takes ownership of.
+func (r *Renaming) atomOf(a *logic.Atom, ids []int32) *logic.Atom {
+	args := make([]logic.Term, len(a.Args))
+	for i, t := range a.Args {
+		args[i] = r.terms[t.(logic.Fresh)-1]
+	}
+	return logic.NewAtomFromIDs(a.Pred, args, a.PredID(), ids)
+}
+
+// argOf returns the canonical integer of a's i-th argument. Atoms with
+// terms outside the renaming's domain are rejected by panicking: call
+// sites filter beforehand.
+func (r *Renaming) argOf(a *logic.Atom, i int) logic.Fresh {
+	f := r.forward(a.ArgID(i))
+	if f == 0 {
+		panic("guarded: atom outside guard domain in Canonicalize: " + a.String())
+	}
+	return f
+}
+
+// canonicalAtom renames an atom over the renaming's domain to canonical
+// integers.
+func (r *Renaming) canonicalAtom(a *logic.Atom) *logic.Atom {
+	args := make([]logic.Term, len(a.Args))
+	for i := range a.Args {
+		args[i] = r.argOf(a, i)
+	}
+	return logic.NewAtom(a.Pred, args...)
+}
+
+// build returns the canonical type of the guard the renaming was reset to,
+// together with the atoms over its domain.
+func (r *Renaming) build(guard *logic.Atom, atoms []*logic.Atom) *Type {
+	catoms := make([]*logic.Atom, len(atoms))
+	for i, a := range atoms {
+		catoms[i] = r.canonicalAtom(a)
+	}
+	return makeType(r.canonicalAtom(guard), catoms)
 }
 
 // Canonicalize builds the canonical type of a guard atom together with the
@@ -156,72 +224,93 @@ func (r *Renaming) InvertAtom(a *logic.Atom) (*logic.Atom, bool) {
 // containing terms outside dom(guard) are rejected by panicking: call
 // sites filter beforehand.
 func Canonicalize(guard *logic.Atom, atoms []*logic.Atom) (*Type, *Renaming) {
-	r := &Renaming{fwd: make(map[int32]logic.Fresh), inv: make(map[logic.Fresh]logic.Term)}
-	next := 1
-	rename := func(t logic.Term, id int32) logic.Fresh {
-		if f, ok := r.fwd[id]; ok {
-			return f
-		}
-		f := logic.Fresh(next)
-		next++
-		r.fwd[id] = f
-		r.inv[f] = t
-		return f
+	r := &Renaming{}
+	r.reset(guard)
+	return r.build(guard, atoms), r
+}
+
+// canonicalizer computes canonical type keys from interned id tuples in
+// reused buffers, so that finding an already memoized type allocates
+// nothing; a *Type is built only on a miss. The key encodes the canonical
+// guard followed by the sorted, duplicate-free set of canonical atoms
+// (guard included), each as its predicate id and canonical integers. It
+// identifies exactly what Type.Key identifies, but only within the process
+// (predicate ids are interned), which is all the memo tables need.
+type canonicalizer struct {
+	ren   Renaming
+	atoms []*logic.Atom // gathered atoms over the guard's domain
+	enc   []byte        // encoded atoms, guard first
+	spans []span        // one per encoded atom
+	key   []byte
+}
+
+// span locates one encoded atom in canonicalizer.enc.
+type span struct{ lo, hi int }
+
+// encode appends a's canonical encoding; its length is fixed by the
+// predicate, so concatenated encodings never run together.
+func (c *canonicalizer) encode(a *logic.Atom) {
+	lo := len(c.enc)
+	c.enc = binary.BigEndian.AppendUint32(c.enc, uint32(a.PredID()))
+	for i := range a.Args {
+		c.enc = binary.BigEndian.AppendUint32(c.enc, uint32(c.ren.argOf(a, i)))
 	}
-	gargs := make([]logic.Term, len(guard.Args))
-	for i, t := range guard.Args {
-		gargs[i] = rename(t, guard.ArgID(i))
-	}
-	cguard := logic.NewAtom(guard.Pred, gargs...)
-	catoms := make([]*logic.Atom, 0, len(atoms))
+	c.spans = append(c.spans, span{lo, len(c.enc)})
+}
+
+// keyOver resets the renaming to the guard, gathers into c.atoms the atoms
+// of the instance plus the extra atoms over the guard's domain, and
+// returns their canonical key (valid until the next call).
+func (c *canonicalizer) keyOver(guard *logic.Atom, in *logic.Instance, extra []*logic.Atom) []byte {
+	c.ren.reset(guard)
+	c.atoms = collectOver(c.atoms[:0], in, extra, c.ren.ids)
+	return c.keyOf(guard, c.atoms)
+}
+
+// keyOf returns the canonical key of the guard's type over the given
+// atoms; the renaming must have been reset to the guard. The key is valid
+// until the next call.
+func (c *canonicalizer) keyOf(guard *logic.Atom, atoms []*logic.Atom) []byte {
+	c.enc, c.spans = c.enc[:0], c.spans[:0]
+	c.encode(guard)
 	for _, a := range atoms {
-		args := make([]logic.Term, len(a.Args))
-		ok := true
-		for i := range a.Args {
-			f, in := r.fwd[a.ArgID(i)]
-			if !in {
-				ok = false
-				break
-			}
-			args[i] = f
-		}
-		if !ok {
-			panic("guarded: atom outside guard domain in Canonicalize: " + a.String())
-		}
-		catoms = append(catoms, logic.NewAtom(a.Pred, args...))
+		c.encode(a)
 	}
-	return makeType(cguard, catoms), r
+	bytesOf := func(s span) []byte { return c.enc[s.lo:s.hi] }
+	c.key = append(c.key[:0], bytesOf(c.spans[0])...)
+	slices.SortFunc(c.spans, func(a, b span) int { return bytes.Compare(bytesOf(a), bytesOf(b)) })
+	for i, s := range c.spans {
+		if i == 0 || !bytes.Equal(bytesOf(s), bytesOf(c.spans[i-1])) {
+			c.key = append(c.key, bytesOf(s)...)
+		}
+	}
+	return c.key
 }
 
-// AtomsOver returns the atoms of the instance whose terms all occur in the
-// given atom's domain (the candidate type atoms of α).
-func AtomsOver(in *logic.Instance, guard *logic.Atom) []*logic.Atom {
-	dom := make(map[int32]bool)
-	for i := range guard.Args {
-		dom[guard.ArgID(i)] = true
-	}
-	var out []*logic.Atom
-	for _, a := range in.Atoms() {
-		ok := true
+// collectOver appends to dst the atoms of the instance plus the extra
+// atoms whose terms all lie in the term-id set dom, each once, and returns
+// the extended slice. With no extra atoms it gathers the candidate type
+// atoms of a guard α: type_{D,Σ}(α) is collectOver over complete(D, Σ)
+// and dom(α).
+func collectOver(dst []*logic.Atom, in *logic.Instance, extra []*logic.Atom, dom []int32) []*logic.Atom {
+	dst = in.AppendWithin(dst, dom)
+	n := len(dst)
+next:
+	for _, a := range extra {
 		for i := range a.Args {
-			if !dom[a.ArgID(i)] {
-				ok = false
-				break
+			if !slices.Contains(dom, a.ArgID(i)) {
+				continue next
 			}
 		}
-		if ok {
-			out = append(out, a)
+		if in.Has(a) {
+			continue
 		}
+		for _, b := range dst[n:] {
+			if b.Equal(a) {
+				continue next
+			}
+		}
+		dst = append(dst, a)
 	}
-	return out
-}
-
-// sortPreds sorts predicates by name then arity (shared helper).
-func sortPreds(ps []logic.Predicate) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Name != ps[j].Name {
-			return ps[i].Name < ps[j].Name
-		}
-		return ps[i].Arity < ps[j].Arity
-	})
+	return dst
 }

@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,14 +16,15 @@ import (
 // any of these paths.
 //
 // Concurrency contract: an Instance is not safe for concurrent mutation,
-// but while no Add runs, every read — Atoms, Len, Seq, Has, Canonical,
-// ByPred, AtPosition, and homomorphism search over the instance — may be
-// issued from many goroutines simultaneously. The parallel chase collector
-// relies on this: rounds alternate a read-only matching phase (sharded
-// across workers) with a single-goroutine apply phase that mutates the
-// instance. Atom.Key() and methods built on it (String, CanonicalKey,
-// SortAtoms) are excluded from the contract: the key is cached lazily
-// without synchronization, so materialize keys only from one goroutine.
+// but while no Add runs, every read — Atoms, Len, Seq, Has, HasIDs,
+// Canonical, ByPred, AtPosition, AppendWithin, and homomorphism search
+// over the instance — may be issued from many goroutines simultaneously.
+// The parallel chase collector relies on this: rounds alternate a
+// read-only matching phase (sharded across workers) with a
+// single-goroutine apply phase that mutates the instance. Atom.Key() and
+// methods built on it (String, CanonicalKey, SortAtoms) are excluded from
+// the contract: the key is cached lazily without synchronization, so
+// materialize keys only from one goroutine.
 type Instance struct {
 	// first holds the (almost always unique) atom per hash; overflow
 	// carries further atoms on the rare hash collision, resolved by
@@ -112,13 +114,21 @@ func (in *Instance) Has(a *Atom) bool { return in.Canonical(a) != nil }
 // Canonical returns the instance's own copy of an atom equal to a, or nil
 // when absent. It lets callers exchange structurally equal atoms for the
 // pointer stored in the instance.
-func (in *Instance) Canonical(a *Atom) *Atom {
-	if b, ok := in.first[a.hash]; ok {
-		if b.sameAtom(a) {
+func (in *Instance) Canonical(a *Atom) *Atom { return in.lookup(a.hash, a.pid, a.ids) }
+
+// HasIDs reports whether the instance contains the atom with the given
+// interned predicate id and term-id tuple, without building the atom.
+func (in *Instance) HasIDs(pid int32, ids []int32) bool {
+	return in.lookup(hashAtom(pid, ids), pid, ids) != nil
+}
+
+func (in *Instance) lookup(hash uint64, pid int32, ids []int32) *Atom {
+	if b, ok := in.first[hash]; ok {
+		if b.pid == pid && int32sEqual(b.ids, ids) {
 			return b
 		}
-		for _, c := range in.overflow[a.hash] {
-			if c.sameAtom(a) {
+		for _, c := range in.overflow[hash] {
+			if c.pid == pid && int32sEqual(c.ids, ids) {
 				return c
 			}
 		}
@@ -184,6 +194,40 @@ func (in *Instance) AtPosition(p Predicate, pos int, t Term) []*Atom {
 		return nil
 	}
 	return in.index[posTermKey{pred: pid, pos: int32(pos), term: tid}]
+}
+
+// AppendWithin appends to dst the atoms whose argument ids all lie in the
+// term-id set dom, in unspecified order, and returns the extended slice.
+// It is meant for small dom (a guard atom's terms). An atom of positive
+// arity over dom carries a dom term at position 0, so the (predicate, 0,
+// term) postings over the instance's predicates × dom hold every
+// candidate exactly once; zero-arity atoms come from the predicate lists.
+// Repeated ids in dom are ignored.
+func (in *Instance) AppendWithin(dst []*Atom, dom []int32) []*Atom {
+	for pid, list := range in.byPred {
+		if len(list[0].ids) == 0 {
+			dst = append(dst, list[0])
+			continue
+		}
+	terms:
+		for i, d := range dom {
+			for _, prev := range dom[:i] {
+				if prev == d {
+					continue terms
+				}
+			}
+		atoms:
+			for _, a := range in.index[posTermKey{pred: pid, pos: 0, term: d}] {
+				for _, id := range a.ids[1:] {
+					if !slices.Contains(dom, id) {
+						continue atoms
+					}
+				}
+				dst = append(dst, a)
+			}
+		}
+	}
+	return dst
 }
 
 // atPositionID is AtPosition on interned ids.

@@ -327,3 +327,53 @@ func TestSortAtomsDeterminism(t *testing.T) {
 		t.Fatal("atoms must sort by key")
 	}
 }
+
+// AppendWithin must return exactly the atoms a full scan finds over the
+// term set, each once, including zero-arity atoms and atoms that repeat a
+// term, and must ignore repeated ids in dom.
+func TestAppendWithinMatchesScan(t *testing.T) {
+	c := []Term{Constant("a"), Constant("b"), Constant("c"), Constant("d")}
+	in := NewDatabase(
+		MakeAtom("Z"),
+		MakeAtom("P", c[0]),
+		MakeAtom("P", c[3]),
+		MakeAtom("R", c[0], c[0], c[1]),
+		MakeAtom("R", c[1], c[0], c[2]),
+		MakeAtom("R", c[1], c[1], c[1]),
+		MakeAtom("S", c[2], c[0]),
+		MakeAtom("S", c[0], c[1]),
+	)
+	f := func(picks []uint8) bool {
+		dom := make([]int32, 0, len(picks))
+		for _, p := range picks {
+			dom = append(dom, IDOf(c[int(p)%len(c)]))
+		}
+		want := map[*Atom]bool{}
+		for _, a := range in.Atoms() {
+			all := true
+			for i := range a.Args {
+				found := false
+				for _, d := range dom {
+					found = found || d == a.ArgID(i)
+				}
+				all = all && found
+			}
+			if all {
+				want[a] = true
+			}
+		}
+		got := in.AppendWithin(nil, dom)
+		if len(got) != len(want) {
+			return false
+		}
+		for _, a := range got {
+			if !want[a] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
