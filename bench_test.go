@@ -158,10 +158,36 @@ func BenchmarkTuringChaseParallel(b *testing.B) {
 	reportGOMAXPROCS(b)
 }
 
-// BenchmarkPoolThroughput measures the multi-job scheduler on a fleet of
-// small independent chase jobs (the serving shape: one job per (D, Σ)
-// request), sequentially and with 4 pool workers.
-func BenchmarkPoolThroughput(b *testing.B) {
+// runBatch admits a whole fleet into a fresh scheduler whose queue holds
+// it (so the submitter never parks), gathers the results in submission
+// order, and fails the benchmark on any job error. Job failures arrive as
+// results, never as b.Fatal from a worker goroutine (testing.B forbids
+// FailNow off the benchmark goroutine).
+func runBatch(b *testing.B, workers int, jobs []rt.Job) []rt.JobResult {
+	s := rt.NewScheduler(rt.SchedulerConfig{Workers: workers, QueueBound: len(jobs)})
+	defer s.Close()
+	tickets := make([]*rt.Ticket, len(jobs))
+	for i, j := range jobs {
+		tk, err := s.Submit(j)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tickets[i] = tk
+	}
+	results := rt.Gather(tickets)
+	for _, r := range results {
+		if r.Err != nil {
+			b.Fatalf("%s: %v", r.Name, r.Err)
+		}
+	}
+	return results
+}
+
+// BenchmarkSchedulerBatchThroughput measures the multi-job scheduler on a
+// whole batch of small independent chase jobs admitted up front (the
+// serving shape: one job per (D, Σ) request), sequentially and with 4
+// workers.
+func BenchmarkSchedulerBatchThroughput(b *testing.B) {
 	const jobs = 32
 	w := families.SLLower(2, 2, 2)
 	for _, workers := range []int{1, 4} {
@@ -170,15 +196,11 @@ func BenchmarkPoolThroughput(b *testing.B) {
 				requireMultiCore(b)
 			}
 			for i := 0; i < b.N; i++ {
-				p := rt.NewPool(workers)
-				for j := 0; j < jobs; j++ {
-					p.Submit(rt.ChaseJob(fmt.Sprintf("job-%d", j), w.Database, w.Sigma,
-						chase.Options{}, rt.Budget{}, nil))
+				fleet := make([]rt.Job, jobs)
+				for j := range fleet {
+					fleet[j] = rt.ChaseJob(fmt.Sprintf("job-%d", j), w.Database, w.Sigma, chase.Options{})
 				}
-				results, stats := p.Run(context.Background())
-				if stats.Succeeded != jobs {
-					b.Fatalf("stats = %+v", stats)
-				}
+				results := runBatch(b, workers, fleet)
 				if !results[0].Value.(*chase.Result).Terminated {
 					b.Fatal("unexpected budget hit")
 				}
@@ -193,9 +215,10 @@ func BenchmarkPoolThroughput(b *testing.B) {
 // admission queue (the serving shape: requests arrive continuously and
 // Submit blocks at the bound). The queue-bound sweep prices backpressure:
 // a tight bound forces the submitter to interleave with the workers, a
-// loose one approximates the batch pool. The cold/warm axis prices the
-// shared compilation cache on the streamed path, mirroring
-// BenchmarkPoolCompileCache for the batch path. Single-worker runs keep
+// loose one approximates an up-front batch. The cold/warm axis prices the
+// shared compilation cache (passed through each job's options) on the
+// streamed path, mirroring BenchmarkSchedulerCompileCache for the batch
+// path. Single-worker runs keep
 // the numbers meaningful on single-core runners; the multi-core variant
 // is gated like the other parallel benches.
 func BenchmarkSchedulerThroughput(b *testing.B) {
@@ -203,11 +226,11 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	w := families.SLLower(2, 2, 2)
 	runFleet := func(b *testing.B, workers, bound int, comp chase.Compiler) {
 		for i := 0; i < b.N; i++ {
-			s := rt.NewScheduler(rt.SchedulerConfig{Workers: workers, QueueBound: bound, Compiler: comp})
+			s := rt.NewScheduler(rt.SchedulerConfig{Workers: workers, QueueBound: bound})
 			tickets := make([]*rt.Ticket, jobs)
 			for j := 0; j < jobs; j++ {
-				tk, err := s.SubmitChase(fmt.Sprintf("job-%d", j), w.Database, w.Sigma,
-					chase.Options{}, rt.Budget{}, nil)
+				tk, err := s.Submit(rt.ChaseJob(fmt.Sprintf("job-%d", j), w.Database, w.Sigma,
+					chase.Options{Compile: comp}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -320,12 +343,14 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkPoolCompileCache measures the cross-request compilation cache
-// on the serving shapes it exists for: fleets of jobs sharing one Σ.
-// "cold" fleets rebuild Σ's artifacts inside every job, "warm" fleets
-// share a pre-populated compile.Cache; the cold-vs-warm delta is the
-// per-job compilation saving recorded in BENCH_cache.json. Single-worker
-// pools keep the comparison meaningful on single-core runners.
+// BenchmarkSchedulerCompileCache measures the cross-request compilation
+// cache on the serving shapes it exists for: batches of scheduler jobs
+// sharing one Σ. "cold" fleets rebuild Σ's artifacts inside every job,
+// "warm" fleets share a pre-populated compile.Cache; the cold-vs-warm
+// delta is the per-job compilation saving recorded in BENCH_cache.json
+// (under this benchmark's earlier name, BenchmarkPoolCompileCache).
+// Single-worker schedulers keep the comparison meaningful on single-core
+// runners.
 //
 // Two fleet shapes bound the effect. chase fleets only save the engine's
 // per-run program compilation (deliberately cheap and lazy since the
@@ -333,21 +358,17 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // chtrm -method ucq serving path, where the per-job saving is the whole
 // simplification + dependency-graph + UCQ construction and the cache
 // pays for itself immediately.
-func BenchmarkPoolCompileCache(b *testing.B) {
+func BenchmarkSchedulerCompileCache(b *testing.B) {
 	b.Run("chase", func(b *testing.B) {
 		const jobs = 32
 		w := families.GLower(1, 1, 1) // 40+ guarded TGDs, multi-round chase
 		runFleet := func(b *testing.B, comp chase.Compiler) {
 			for i := 0; i < b.N; i++ {
-				p := rt.NewPool(1)
-				p.Compiler = comp
-				for j := 0; j < jobs; j++ {
-					p.SubmitChase(fmt.Sprintf("job-%d", j), w.Database, w.Sigma, chase.Options{}, rt.Budget{}, nil)
+				fleet := make([]rt.Job, jobs)
+				for j := range fleet {
+					fleet[j] = rt.ChaseJob(fmt.Sprintf("job-%d", j), w.Database, w.Sigma, chase.Options{Compile: comp})
 				}
-				_, stats := p.Run(context.Background())
-				if stats.Succeeded != jobs {
-					b.Fatalf("stats = %+v", stats)
-				}
+				runBatch(b, 1, fleet)
 			}
 		}
 		b.Run("cold", func(b *testing.B) { runFleet(b, nil) })
@@ -366,9 +387,7 @@ func BenchmarkPoolCompileCache(b *testing.B) {
 			dbs[j] = logic.NewDatabase(logic.MakeAtom("q2",
 				logic.Constant(string(rune('a'+j%26)))))
 		}
-		// Failures surface as job errors, never as b.Fatal from a pool
-		// worker goroutine (testing.B forbids FailNow off the benchmark
-		// goroutine).
+		// Failures surface as job errors, which runBatch reports.
 		decide := func(db *logic.Instance, build func() (core.UCQ, error)) error {
 			q, err := build()
 			if err != nil {
@@ -381,22 +400,14 @@ func BenchmarkPoolCompileCache(b *testing.B) {
 		}
 		runFleet := func(b *testing.B, build func() (core.UCQ, error)) {
 			for i := 0; i < b.N; i++ {
-				p := rt.NewPool(1)
-				for j := 0; j < jobs; j++ {
+				fleet := make([]rt.Job, jobs)
+				for j := range fleet {
 					db := dbs[j]
-					p.Submit(rt.Job{Name: fmt.Sprintf("decide-%d", j), Run: func(context.Context) (any, error) {
+					fleet[j] = rt.Job{Name: fmt.Sprintf("decide-%d", j), Run: func(context.Context) (any, error) {
 						return nil, decide(db, build)
-					}})
+					}}
 				}
-				results, stats := p.Run(context.Background())
-				if stats.Succeeded != jobs {
-					for _, r := range results {
-						if r.Err != nil {
-							b.Fatalf("%s: %v", r.Name, r.Err)
-						}
-					}
-					b.Fatalf("stats = %+v", stats)
-				}
+				runBatch(b, 1, fleet)
 			}
 		}
 		b.Run("cold", func(b *testing.B) {

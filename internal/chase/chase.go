@@ -79,8 +79,8 @@ type Options struct {
 	// true the run stops and is reported as not terminated. When an
 	// Executor is attached, Interrupt may be polled from worker
 	// goroutines concurrently and must be safe for concurrent use
-	// (runtime.Interrupter is). The multi-job scheduler uses it to
-	// enforce wall-clock budgets and cancellation.
+	// (the scheduler's context-polling interrupter is). The multi-job
+	// scheduler uses it to enforce wall-clock budgets and cancellation.
 	Interrupt func() bool
 	// RoundGranularInterrupt confines Interrupt polling to round
 	// boundaries: the mid-collect and mid-apply polls are skipped, so a

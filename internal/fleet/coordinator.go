@@ -155,6 +155,11 @@ type Coordinator struct {
 	mu      sync.Mutex
 	cursors map[string]int
 	closed  bool
+	// closing is closed by Close to wake Submits parked on a full lane;
+	// sending counts the Submits between the closed check and their lane
+	// send, which Close waits out before it closes the lanes.
+	closing chan struct{}
+	sending sync.WaitGroup
 }
 
 // NewCoordinator connects a coordinator to its worker fleet. Dialing is
@@ -176,7 +181,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.QueueBound <= 0 {
 		cfg.QueueBound = 64
 	}
-	c := &Coordinator{cfg: cfg, cursors: make(map[string]int)}
+	c := &Coordinator{cfg: cfg, cursors: make(map[string]int), closing: make(chan struct{})}
 	for _, addr := range cfg.Workers {
 		w := &workerLink{
 			cfg:   cfg,
@@ -191,25 +196,35 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 }
 
 // Submit places a job on a worker lane (blocking while the lane is
-// full) and returns its ticket. After Close it fails with a
-// KindUnavailable service error wrapping ErrCoordinatorClosed.
+// full) and returns its ticket. After Close — and when Close begins while
+// Submit is parked on a full lane — it fails with a KindUnavailable
+// service error wrapping ErrCoordinatorClosed.
 func (c *Coordinator) Submit(job Job) (*Ticket, error) {
+	closedErr := func() error {
+		return &service.Error{Kind: service.KindUnavailable, Op: service.OpChase, Name: job.Name, Err: ErrCoordinatorClosed}
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, &service.Error{Kind: service.KindUnavailable, Op: service.OpChase, Name: job.Name, Err: ErrCoordinatorClosed}
+		return nil, closedErr()
 	}
 	idx := c.cursors[job.Tenant]
 	c.cursors[job.Tenant] = (idx + 1) % len(c.workers)
 	w := c.workers[idx]
+	c.sending.Add(1)
 	c.mu.Unlock()
+	defer c.sending.Done()
 	tk := &Ticket{done: make(chan Result, 1)}
-	w.queue <- task{job: job, tk: tk}
-	return tk, nil
+	select {
+	case w.queue <- task{job: job, tk: tk}:
+		return tk, nil
+	case <-c.closing:
+		return nil, closedErr()
+	}
 }
 
-// Close stops admission, lets queued jobs finish, and severs the worker
-// connections. Idempotent.
+// Close stops admission, fails Submits parked on a full lane, lets
+// queued jobs finish, and severs the worker connections. Idempotent.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -217,7 +232,10 @@ func (c *Coordinator) Close() {
 		return
 	}
 	c.closed = true
+	close(c.closing)
 	c.mu.Unlock()
+	// No lane send may be in flight when the lanes close.
+	c.sending.Wait()
 	for _, w := range c.workers {
 		close(w.queue)
 	}
@@ -236,16 +254,6 @@ func (c *Coordinator) ColdPulls() int {
 		w.mu.Unlock()
 	}
 	return n
-}
-
-// Gather waits for every ticket and returns the results in submission
-// order — the same batch bridge runtime.Gather provides.
-func Gather(tickets []*Ticket) []Result {
-	out := make([]Result, len(tickets))
-	for i, t := range tickets {
-		out[i] = t.Wait()
-	}
-	return out
 }
 
 // workerLink drives one worker: a queue, one serving goroutine, one

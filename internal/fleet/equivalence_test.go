@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/chase"
 	"repro/internal/compile"
@@ -176,8 +177,8 @@ func TestCoordinatorFleetEquivalence(t *testing.T) {
 
 // TestCoordinatorProgressAndPlacement: progress frames stream back to
 // the job's callback (tail matching the result), tenant-fair placement
-// round-robins one tenant's jobs across distinct workers, and Gather
-// collates in submission order.
+// round-robins one tenant's jobs across distinct workers, and waiting
+// on the tickets in turn collates in submission order.
 func TestCoordinatorProgressAndPlacement(t *testing.T) {
 	prog, err := parser.Parse("e(a, b). e(X, Y) -> e(Y, X).")
 	if err != nil {
@@ -225,7 +226,10 @@ func TestCoordinatorProgressAndPlacement(t *testing.T) {
 		}
 		tickets = append(tickets, tk)
 	}
-	results := Gather(tickets)
+	results := make([]Result, len(tickets))
+	for i, tk := range tickets {
+		results[i] = tk.Wait()
+	}
 	workersSeen := make(map[string]bool)
 	for i, r := range results {
 		if r.Err != nil {
@@ -336,5 +340,69 @@ func TestCoordinatorDeadWorker(t *testing.T) {
 	}
 	if _, err := NewCoordinator(Config{}); err == nil {
 		t.Fatal("coordinator with no workers constructed")
+	}
+}
+
+// TestCoordinatorCloseFailsParkedSubmit: a Submit parked on a full
+// worker lane when Close begins fails typed — KindUnavailable wrapping
+// ErrCoordinatorClosed — instead of sending on the closed lane, while
+// the jobs already queued still run to their (here: transport-failed)
+// results and Close returns.
+func TestCoordinatorCloseFailsParkedSubmit(t *testing.T) {
+	coord, err := NewCoordinator(Config{
+		Workers:      []string{filepath.Join(t.TempDir(), "absent.sock")},
+		Network:      "unix",
+		QueueBound:   1,
+		DialAttempts: 3,
+		DialBackoff:  200 * time.Millisecond, // each queued job dials for ~400ms
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := coord.workers[0].queue
+	first, err := coord.Submit(Job{Name: "first"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(lane) > 0 { // the link takes the first job off the lane
+		time.Sleep(time.Millisecond)
+	}
+	second, err := coord.Submit(Job{Name: "second"}) // fills the lane
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := coord.Submit(Job{Name: "parked"})
+		parked <- err
+	}()
+	select {
+	case err := <-parked:
+		t.Fatalf("third Submit returned %v before Close, want it parked on the full lane", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	closed := make(chan struct{})
+	go func() {
+		coord.Close()
+		close(closed)
+	}()
+	select {
+	case err := <-parked:
+		var se *service.Error
+		if !errors.Is(err, ErrCoordinatorClosed) || !errors.As(err, &se) || se.Kind != service.KindUnavailable {
+			t.Fatalf("parked Submit err = %v, want KindUnavailable wrapping ErrCoordinatorClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked Submit still blocked after Close")
+	}
+	for _, tk := range []*Ticket{first, second} {
+		if r := tk.Wait(); !errors.Is(r.Err, ErrTransport) {
+			t.Fatalf("queued job err = %v, want ErrTransport", r.Err)
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
 	}
 }

@@ -5,25 +5,6 @@ import (
 	"testing"
 )
 
-// RunJobs is the one-shot convenience over Pool: same submission-order
-// results, same stats, and the pool reports its sizing.
-func TestRunJobsOneShot(t *testing.T) {
-	if got := NewPool(3).Workers(); got != 3 {
-		t.Fatalf("Workers() = %d, want 3", got)
-	}
-	jobs := []Job{
-		{Name: "a", Run: func(context.Context) (any, error) { return 1, nil }},
-		{Name: "b", Run: func(context.Context) (any, error) { return 2, nil }},
-	}
-	results, stats := RunJobs(context.Background(), 2, jobs)
-	if len(results) != 2 || results[0].Value != 1 || results[1].Value != 2 {
-		t.Fatalf("results = %+v", results)
-	}
-	if stats.Jobs != 2 || stats.Succeeded != 2 {
-		t.Fatalf("stats = %+v", stats)
-	}
-}
-
 // A ticket surfaces the admission metadata the job was submitted with.
 func TestTicketMeta(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})

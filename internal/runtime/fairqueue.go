@@ -4,7 +4,7 @@ package runtime
 // (high before normal before low), round-robin across tenants within a
 // lane, FIFO within a tenant. A single tenant submitting at one priority
 // — every pre-service caller — therefore sees plain FIFO, which is what
-// keeps the batch Pool's submission-order determinism intact; a
+// keeps a single submitter's fleet in submission order; a
 // multi-tenant service sees per-tenant fairness: one tenant's deep
 // backlog delays another tenant's next job by at most one job per
 // competing tenant per dequeue (the starvation bound the fairness tests

@@ -10,7 +10,7 @@ import (
 	"repro/internal/parser"
 )
 
-// A fleet submitted through SubmitChase with a shared compiler must pay Σ's
+// A fleet of chase jobs whose options share one compiler must pay Σ's
 // compilation once — exactly one job misses, every other job hits — and
 // produce results byte-identical to an uncached fleet.
 func TestPoolSharedCompiler(t *testing.T) {
@@ -22,17 +22,15 @@ func TestPoolSharedCompiler(t *testing.T) {
 	const jobs = 8
 
 	runFleet := func(comp chase.Compiler) []*chase.Result {
-		p := NewPool(2)
-		p.Compiler = comp
-		for j := 0; j < jobs; j++ {
-			p.SubmitChase(fmt.Sprintf("job-%d", j), db, sigma, chase.Options{}, Budget{}, nil)
-		}
-		results, stats := p.Run(context.Background())
-		if stats.Succeeded != jobs {
-			t.Fatalf("stats = %+v", stats)
+		fleet := make([]Job, jobs)
+		for j := range fleet {
+			fleet[j] = ChaseJob(fmt.Sprintf("job-%d", j), db, sigma, chase.Options{Compile: comp})
 		}
 		out := make([]*chase.Result, jobs)
-		for i, r := range results {
+		for i, r := range runFleet(t, context.Background(), 2, fleet) {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.Name, r.Err)
+			}
 			out[i] = r.Value.(*chase.Result)
 		}
 		return out
@@ -60,13 +58,5 @@ func TestPoolSharedCompiler(t *testing.T) {
 	}
 	if plain[0].Stats.CompileHits != 0 || plain[0].Stats.CompileMisses != 0 {
 		t.Fatal("uncached fleet must not report compile fetches")
-	}
-	// A per-options compiler wins over the pool's.
-	own := compile.NewCache(4)
-	p := NewPool(1)
-	p.Compiler = cache
-	p.SubmitChase("own", db, sigma, chase.Options{Compile: own}, Budget{}, nil)
-	if results, _ := p.Run(context.Background()); results[0].Value.(*chase.Result).Stats.CompileMisses != 1 {
-		t.Fatal("per-job compiler was not honored")
 	}
 }

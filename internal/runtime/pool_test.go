@@ -12,94 +12,104 @@ import (
 	"repro/internal/parser"
 )
 
+// The tests in this file pin the Scheduler's worker-pool contract for a
+// fleet submitted from one goroutine and collated by Gather: results in
+// submission order, per-job errors, wall budgets, and cancellation
+// through the submission context.
+
+// runFleet submits jobs in order under ctx to a fresh scheduler whose
+// queue holds the whole fleet, and returns the collated results.
+func runFleet(t *testing.T, ctx context.Context, workers int, jobs []Job) []JobResult {
+	t.Helper()
+	s := NewScheduler(SchedulerConfig{Workers: workers, QueueBound: len(jobs)})
+	defer s.Close()
+	tickets := make([]*Ticket, len(jobs))
+	for i, j := range jobs {
+		tk, err := s.SubmitIn(ctx, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets[i] = tk
+	}
+	return Gather(tickets)
+}
+
 func TestPoolResultsInSubmissionOrder(t *testing.T) {
-	p := NewPool(4)
 	const n = 40
+	var jobs []Job
 	for i := 0; i < n; i++ {
 		i := i
-		p.Submit(Job{Name: fmt.Sprintf("job-%d", i), Run: func(context.Context) (any, error) {
+		jobs = append(jobs, Job{Name: fmt.Sprintf("job-%d", i), Run: func(context.Context) (any, error) {
 			return i * i, nil
 		}})
 	}
-	results, stats := p.Run(context.Background())
+	results := runFleet(t, context.Background(), 4, jobs)
 	if len(results) != n {
 		t.Fatalf("%d results, want %d", len(results), n)
 	}
 	for i, r := range results {
-		if r.Index != i || r.Name != fmt.Sprintf("job-%d", i) || r.Value != i*i || r.Err != nil {
+		if r.Index != i || r.Name != fmt.Sprintf("job-%d", i) || r.Value != i*i || r.Err != nil ||
+			r.TimedOut || r.Canceled {
 			t.Fatalf("result %d out of order or wrong: %+v", i, r)
 		}
-	}
-	if stats.Jobs != n || stats.Succeeded != n || stats.Failed+stats.TimedOut+stats.Canceled != 0 {
-		t.Fatalf("stats = %+v", stats)
 	}
 }
 
 func TestPoolAggregatesFailures(t *testing.T) {
 	boom := errors.New("boom")
-	p := NewPool(2)
-	p.Submit(Job{Name: "ok", Run: func(context.Context) (any, error) { return 1, nil }})
-	p.Submit(Job{Name: "bad", Run: func(context.Context) (any, error) { return nil, boom }})
-	results, stats := p.Run(context.Background())
-	if !errors.Is(results[1].Err, boom) {
-		t.Fatalf("err = %v, want boom", results[1].Err)
+	results := runFleet(t, context.Background(), 2, []Job{
+		{Name: "ok", Run: func(context.Context) (any, error) { return 1, nil }},
+		{Name: "bad", Run: func(context.Context) (any, error) { return nil, boom }},
+	})
+	if results[0].Err != nil || results[0].Value != 1 {
+		t.Fatalf("ok job: %+v", results[0])
 	}
-	if stats.Succeeded != 1 || stats.Failed != 1 {
-		t.Fatalf("stats = %+v", stats)
+	if !errors.Is(results[1].Err, boom) || results[1].Canceled || results[1].TimedOut {
+		t.Fatalf("bad job: %+v, want a plain boom failure", results[1])
 	}
 }
 
 func TestPoolWallBudgetTimesOut(t *testing.T) {
-	p := NewPool(2)
-	p.Submit(Job{Name: "slow", Wall: 10 * time.Millisecond, Run: func(ctx context.Context) (any, error) {
-		<-ctx.Done()
-		return "stopped", nil
-	}})
-	results, stats := p.Run(context.Background())
-	if !results[0].TimedOut || results[0].Value != "stopped" {
+	results := runFleet(t, context.Background(), 2, []Job{{Name: "slow", Wall: 10 * time.Millisecond,
+		Run: func(ctx context.Context) (any, error) {
+			<-ctx.Done()
+			return "stopped", nil
+		}}})
+	if !results[0].TimedOut || results[0].Canceled || results[0].Value != "stopped" {
 		t.Fatalf("result = %+v, want timed-out with value", results[0])
-	}
-	if stats.TimedOut != 1 {
-		t.Fatalf("stats = %+v", stats)
 	}
 }
 
-// A pool-level deadline is the caller's event: a running job that
-// surfaces it must be classified Canceled (like the queued jobs the same
-// expiry skips), not Failed, and never TimedOut.
+// A submission-context deadline is the caller's event: a running job
+// that surfaces it must be classified Canceled (like the queued jobs the
+// same expiry skips), not a plain failure, and never TimedOut.
 func TestPoolParentDeadlineClassifiedCanceled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	p := NewPool(1)
-	p.Submit(Job{Name: "obedient", Run: func(jctx context.Context) (any, error) {
+	results := runFleet(t, ctx, 1, []Job{{Name: "obedient", Run: func(jctx context.Context) (any, error) {
 		<-jctx.Done()
 		return nil, jctx.Err()
-	}})
-	results, stats := p.Run(ctx)
-	if !results[0].Canceled || results[0].TimedOut {
-		t.Fatalf("result = %+v, want Canceled and not TimedOut", results[0])
-	}
-	if stats.Canceled != 1 || stats.Failed != 0 {
-		t.Fatalf("stats = %+v", stats)
+	}}})
+	if !results[0].Canceled || results[0].TimedOut || !errors.Is(results[0].Err, context.DeadlineExceeded) {
+		t.Fatalf("result = %+v, want Canceled by the deadline and not TimedOut", results[0])
 	}
 }
 
 func TestPoolCancellationSkipsQueuedJobs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := NewPool(1)
-	p.Submit(Job{Name: "canceller", Run: func(context.Context) (any, error) {
+	jobs := []Job{{Name: "canceller", Run: func(context.Context) (any, error) {
 		cancel()
 		return nil, nil
-	}})
+	}}}
 	const queued = 5
 	for i := 0; i < queued; i++ {
-		p.Submit(Job{Name: "queued", Run: func(context.Context) (any, error) {
+		jobs = append(jobs, Job{Name: "queued", Run: func(context.Context) (any, error) {
 			return nil, nil
 		}})
 	}
-	results, stats := p.Run(ctx)
-	if stats.Canceled != queued {
-		t.Fatalf("stats = %+v, want %d cancelled", stats, queued)
+	results := runFleet(t, ctx, 1, jobs)
+	if results[0].Canceled || results[0].Err != nil {
+		t.Fatalf("canceller result %+v, want succeeded", results[0])
 	}
 	for _, r := range results[1:] {
 		if !r.Canceled || !errors.Is(r.Err, context.Canceled) {
@@ -123,11 +133,10 @@ func TestChaseJobWallBudgetInterruptsCollectPhase(t *testing.T) {
 		e(X, Y), e(Z, W) -> p(X).
 	`)
 	start := time.Now()
-	for _, exec := range []*Executor{nil, NewExecutor(4)} {
-		p := NewPool(1)
-		p.Submit(ChaseJob("cross-join", db, sigma, chase.Options{},
-			Budget{Wall: 20 * time.Millisecond}, exec))
-		results, _ := p.Run(context.Background())
+	for _, exec := range []chase.Executor{nil, NewExecutor(4)} {
+		j := ChaseJob("cross-join", db, sigma, chase.Options{Executor: exec})
+		j.Wall = 20 * time.Millisecond
+		results := runFleet(t, context.Background(), 1, []Job{j})
 		res := results[0].Value.(*chase.Result)
 		if res.Terminated {
 			t.Fatal("wall-capped cross join reported termination")
@@ -145,15 +154,21 @@ func TestChaseJobBudgets(t *testing.T) {
 	infinite := parser.MustParseRules(`e(X, Y) -> ∃Z e(Y, Z).`)
 	finite := parser.MustParseRules(`e(X, Y) -> p(X).`)
 
-	p := NewPool(2)
-	p.Submit(ChaseJob("finite", db, finite, chase.Options{}, Budget{}, nil))
-	p.Submit(ChaseJob("atom-capped", db, infinite, chase.Options{}, Budget{MaxAtoms: 50}, nil))
-	p.Submit(ChaseJob("round-capped", db, infinite, chase.Options{}, Budget{MaxRounds: 7}, nil))
 	// MaxRounds backstops the wall-clock budget so a broken Interrupt cannot
 	// hang the test; the wall budget fires orders of magnitude earlier.
-	p.Submit(ChaseJob("wall-capped", db, infinite, chase.Options{},
-		Budget{Wall: 30 * time.Millisecond, MaxRounds: 1 << 30}, nil))
-	results, stats := p.Run(context.Background())
+	wallCapped := ChaseJob("wall-capped", db, infinite, chase.Options{MaxRounds: 1 << 30})
+	wallCapped.Wall = 30 * time.Millisecond
+	results := runFleet(t, context.Background(), 2, []Job{
+		ChaseJob("finite", db, finite, chase.Options{}),
+		ChaseJob("atom-capped", db, infinite, chase.Options{MaxAtoms: 50}),
+		ChaseJob("round-capped", db, infinite, chase.Options{MaxRounds: 7}),
+		wallCapped,
+	})
+	for _, r := range results[:3] {
+		if r.Err != nil || r.TimedOut || r.Canceled {
+			t.Fatalf("%s: %+v, want succeeded", r.Name, r)
+		}
+	}
 
 	fin := results[0].Value.(*chase.Result)
 	if !fin.Terminated || fin.Instance.Len() != 2 {
@@ -171,10 +186,7 @@ func TestChaseJobBudgets(t *testing.T) {
 	if wall.Terminated {
 		t.Fatal("wall-capped job reported termination")
 	}
-	if !results[3].TimedOut {
+	if !results[3].TimedOut || results[3].Err != nil {
 		t.Fatalf("wall-capped job not flagged TimedOut: %+v", results[3])
-	}
-	if stats.Succeeded != 3 || stats.TimedOut != 1 {
-		t.Fatalf("stats = %+v", stats)
 	}
 }

@@ -37,12 +37,12 @@ func TestSchedulerResume(t *testing.T) {
 	tel := telemetry.New()
 	tel.Trace = telemetry.NewTraceSink()
 	tel.Trace.SetClock(func() time.Time { return time.Unix(42, 0) })
-	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 2, Telemetry: tel,
-		Compiler: compile.NewCache(4)})
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 2, Telemetry: tel})
 	defer s.Close()
 
-	tk, err := s.SubmitResumeMeta(context.Background(), JobMeta{Tenant: "acme"},
-		"delta-1", cp, sigma, delta, chase.Options{}, Budget{}, nil)
+	j := ResumeJob("delta-1", cp, sigma, delta, chase.Options{Compile: compile.NewCache(4)})
+	j.Meta = JobMeta{Tenant: "acme"}
+	tk, err := s.SubmitIn(context.Background(), j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,7 @@ func TestSchedulerResume(t *testing.T) {
 
 	// A mismatched ontology fails the ticket with the typed error.
 	other := parser.MustParseRules(`e(X, Y) -> p(X).`)
-	tk2, err := s.SubmitResumeMeta(context.Background(), JobMeta{},
-		"bad", cp, other, nil, chase.Options{}, Budget{}, nil)
+	tk2, err := s.Submit(ResumeJob("bad", cp, other, nil, chase.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +101,7 @@ func TestResumeJobBudget(t *testing.T) {
 	}
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
 	defer s.Close()
-	tk, err := s.SubmitResumeMeta(context.Background(), JobMeta{},
-		"walk-on", cp, sigma, nil, chase.Options{}, Budget{MaxRounds: 3}, nil)
+	tk, err := s.Submit(ResumeJob("walk-on", cp, sigma, nil, chase.Options{MaxRounds: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,7 @@ import (
 	"time"
 
 	"repro/internal/chase"
-	"repro/internal/checkpoint"
-	"repro/internal/logic"
 	"repro/internal/telemetry"
-	"repro/internal/tgds"
 )
 
 // Backpressure selects what Submit does when the admission queue is full.
@@ -89,7 +86,7 @@ const DefaultQueueBound = 64
 
 // SchedulerConfig configures a Scheduler. The zero value is usable:
 // GOMAXPROCS workers, a DefaultQueueBound-deep queue, blocking
-// backpressure, no shared compiler.
+// backpressure, no telemetry.
 type SchedulerConfig struct {
 	// Workers is the number of job workers; <= 0 selects GOMAXPROCS(0).
 	Workers int
@@ -101,17 +98,13 @@ type SchedulerConfig struct {
 	// Backpressure selects Submit's behavior at the bound: Block (default)
 	// or Reject.
 	Backpressure Backpressure
-	// Compiler, when non-nil, is attached as chase.Options.Compile to every
-	// job submitted through SubmitChase that carries no compiler of its
-	// own, so a fleet of jobs sharing Σ pays ontology compilation once
-	// (internal/compile.Cache is the standard implementation).
-	Compiler chase.Compiler
 	// Telemetry, when it carries a registry, turns on the scheduler's
 	// observability: admission/completion counters by lane and tenant,
 	// the queue-depth gauge, the per-lane queue-wait histogram, the
 	// chase round/atom/trigger counters (fed through chase.Options.
-	// Observer on every SubmitChase job), and — when Telemetry.Trace is
-	// set — per-job spans (admit, queue, compile, sampled rounds, run).
+	// Observer on every ChaseJob and ResumeJob), and — when
+	// Telemetry.Trace is set — per-job spans (admit, queue, compile,
+	// sampled rounds, run).
 	// Nil disables everything at the cost of one nil check per site;
 	// results are byte-identical either way.
 	Telemetry *telemetry.Telemetry
@@ -120,21 +113,19 @@ type SchedulerConfig struct {
 // Scheduler is the streaming multi-job runtime: a long-lived worker set
 // behind a bounded admission queue with priority lanes and per-tenant
 // fair dequeue (see fairQueue; jobs carry their lane and tenant in
-// JobMeta, and the zero meta reproduces plain FIFO). Unlike the batch
-// Pool (which is a thin adapter over a Scheduler), a Scheduler accepts
-// Submit from any goroutine at any time, delivers every job's result
+// JobMeta, and the zero meta reproduces plain FIFO). A Scheduler accepts
+// SubmitIn from any goroutine at any time, delivers every job's result
 // over its Ticket as the job finishes, supports per-job cancellation,
-// and shuts down gracefully via Drain and Close. A panicking job is contained: it fails its own ticket
-// (the panic value wrapped in the result's Err) and the workers keep
-// serving. It is the serving shape of the paper's non-uniform setting:
-// chase/decision requests for (Σ, D) pairs arrive continuously, not as
-// one pre-assembled batch.
+// and shuts down gracefully via Drain and Close. A panicking job is
+// contained: it fails its own ticket (the panic value wrapped in the
+// result's Err) and the workers keep serving. It is the serving shape of
+// the paper's non-uniform setting: chase/decision requests for (Σ, D)
+// pairs arrive continuously, not as one pre-assembled batch.
 type Scheduler struct {
-	workers  int
-	bound    int
-	policy   Backpressure
-	compiler chase.Compiler
-	tel      *schedTelemetry // nil: telemetry off (the benched fast path)
+	workers int
+	bound   int
+	policy  Backpressure
+	tel     *schedTelemetry // nil: telemetry off (the benched fast path)
 
 	// The admission queue is a fairQueue (priority lanes, per-tenant
 	// round-robin) guarded by qmu, metered by two token channels sized to
@@ -155,7 +146,7 @@ type Scheduler struct {
 	queued int
 
 	// scratchReuses counts jobs that ran on a worker's already-warmed
-	// chase.Scratch (every RunScratch job after a worker's first) —
+	// chase.Scratch (every engine job after a worker's first) —
 	// the observable effect of the scratch pool, surfaced for stats.
 	scratchReuses atomic.Int64
 
@@ -170,12 +161,11 @@ type Scheduler struct {
 // NewScheduler starts a scheduler: its workers run until Close.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	s := &Scheduler{
-		workers:  NewExecutor(cfg.Workers).Workers(),
-		bound:    cfg.QueueBound,
-		policy:   cfg.Backpressure,
-		compiler: cfg.Compiler,
-		tel:      newSchedTelemetry(cfg.Telemetry),
-		closing:  make(chan struct{}),
+		workers: NewExecutor(cfg.Workers).Workers(),
+		bound:   cfg.QueueBound,
+		policy:  cfg.Backpressure,
+		tel:     newSchedTelemetry(cfg.Telemetry),
+		closing: make(chan struct{}),
 	}
 	if s.bound <= 0 {
 		s.bound = DefaultQueueBound
@@ -216,7 +206,7 @@ type Ticket struct {
 	ctx      context.Context
 	cancelFn context.CancelFunc
 	done     chan JobResult
-	progress chan chase.Stats
+	progress chan chase.Stats // nil for opaque jobs
 
 	// enqueued and trace are telemetry state, populated at admission only
 	// when the scheduler carries a Telemetry (and, for trace, a sink).
@@ -236,10 +226,9 @@ func (t *Ticket) Meta() JobMeta { return t.job.Meta }
 // Index returns the ticket's submission sequence number: unique per
 // scheduler and monotone in the order concurrent Submit calls entered the
 // scheduler — which is the submission order itself whenever one goroutine
-// submits the fleet, as the batch Pool does for its submission-order
-// aggregation. It is not an execution order (two racing Submits may be
-// claimed by workers in either order), and a blocked Submit that fails on
-// cancellation or Close leaves a gap in the sequence.
+// submits the fleet. It is not an execution order (two racing Submits may
+// be claimed by workers in either order), and a blocked Submit that fails
+// on cancellation or Close leaves a gap in the sequence.
 func (t *Ticket) Index() int { return t.index }
 
 // Done returns the channel on which the job's result is delivered
@@ -258,14 +247,14 @@ var closedProgress = func() chan chase.Stats {
 	return ch
 }()
 
-// Progress returns the round-level progress stream of a chase job
-// submitted through SubmitChase: the engine's statistics at each round
+// Progress returns the round-level progress stream of an engine job
+// (built by ChaseJob or ResumeJob): the engine's statistics at each round
 // boundary, with latest-wins semantics (a slow consumer only ever misses
 // intermediate events, never the stream's tail). The channel is closed
 // when the job finishes, just before the result is delivered.
 //
-// Contract for jobs with no progress stream (anything not submitted
-// through SubmitChase): Progress returns a shared, already-closed
+// Contract for jobs with no progress stream (opaque jobs, whose Job
+// carries only Run): Progress returns a shared, already-closed
 // sentinel channel — never nil. A consumer that selects on Progress()
 // therefore observes an immediately-exhausted stream instead of the
 // forever-blocked select a nil channel would silently produce (the trap
@@ -298,134 +287,36 @@ func (t *Ticket) Wait() JobResult {
 	return t.result
 }
 
-// Submit admits a job. It is safe for concurrent use from any goroutine.
-// Under the Block policy a full queue makes Submit wait; under Reject it
-// returns ErrQueueFull. After Close, Submit returns ErrSchedulerClosed.
-func (s *Scheduler) Submit(j Job) (*Ticket, error) {
-	return s.submit(context.Background(), j, nil, nil)
-}
+// Submit is SubmitIn under context.Background().
+func (s *Scheduler) Submit(j Job) (*Ticket, error) { return s.SubmitIn(context.Background(), j) }
 
-// SubmitIn is Submit with the job's context derived from ctx (in addition
-// to the ticket's own Cancel): cancelling ctx cancels the job. A job
-// whose context is already cancelled is still admitted when the queue has
-// room (it is skipped by its worker and reported as Canceled — the batch
-// Pool relies on this to classify jobs queued behind a cancellation); a
-// Submit parked on a full queue under the Block policy, however, returns
+// SubmitIn admits a job, its context derived from ctx (in addition to the
+// ticket's own Cancel): cancelling ctx cancels the job. It is safe for
+// concurrent use from any goroutine. Under the Block policy a full queue
+// makes SubmitIn wait; under Reject it returns ErrQueueFull. After Close
+// it returns ErrSchedulerClosed.
+//
+// A job whose context is already cancelled is still admitted when the
+// queue has room (it is skipped by its worker and reported as Canceled,
+// so jobs queued behind a cancellation classify uniformly); a SubmitIn
+// parked on a full queue under the Block policy, however, returns
 // ctx.Err() as soon as ctx is cancelled instead of waiting for a slot, so
 // a dead request never leaks a blocked submitter.
+//
+// An engine job (built by ChaseJob or ResumeJob) is wired to its ticket:
+// the run's chase.Options.Progress forwards each round-boundary Stats
+// snapshot into the ticket's Progress stream with latest-wins semantics
+// (beside any Progress the caller set), and with telemetry on a metering
+// observer joins any Observer the caller brought. Opaque jobs get
+// neither.
 func (s *Scheduler) SubmitIn(ctx context.Context, j Job) (*Ticket, error) {
-	return s.submit(ctx, j, nil, nil)
-}
-
-// SubmitChase admits a ChaseJob wired to the scheduler's Compiler (when
-// opts carries none of its own) and to the ticket's Progress stream: the
-// run's chase.Options.Progress forwards each round-boundary Stats snapshot
-// into the ticket with latest-wins semantics.
-func (s *Scheduler) SubmitChase(name string, db *logic.Instance, sigma *tgds.Set, opts chase.Options, b Budget, exec chase.Executor) (*Ticket, error) {
-	return s.SubmitChaseIn(context.Background(), name, db, sigma, opts, b, exec)
-}
-
-// SubmitChaseIn is SubmitChase with the job's context derived from ctx.
-func (s *Scheduler) SubmitChaseIn(ctx context.Context, name string, db *logic.Instance, sigma *tgds.Set, opts chase.Options, b Budget, exec chase.Executor) (*Ticket, error) {
-	return s.SubmitChaseMeta(ctx, JobMeta{}, name, db, sigma, opts, b, exec)
-}
-
-// SubmitChaseMeta is SubmitChaseIn with the job's admission metadata
-// (tenant, priority lane) set; the service layer routes RequestMeta
-// through it.
-func (s *Scheduler) SubmitChaseMeta(ctx context.Context, meta JobMeta, name string, db *logic.Instance, sigma *tgds.Set, opts chase.Options, b Budget, exec chase.Executor) (*Ticket, error) {
-	opts, progress, obs := s.instrumentEngine(opts, "chase")
-	j := ChaseJob(name, db, sigma, opts, b, exec)
-	j.Meta = meta
-	return s.submit(ctx, j, progress, obs)
-}
-
-// SubmitResumeMeta admits a ResumeJob — a chase continued from a
-// checkpoint over a base-data delta — with the same wiring as
-// SubmitChaseMeta: the scheduler's Compiler when opts carries none, the
-// ticket's Progress stream, and (with telemetry on) the metering
-// observer, whose terminal trace span is "resume" rather than "chase".
-// The resumed run goes through the same engine, so budgets, Interrupt,
-// worker Scratch, and parallel Executors all apply unchanged.
-func (s *Scheduler) SubmitResumeMeta(ctx context.Context, meta JobMeta, name string, cp *checkpoint.Checkpoint, sigma *tgds.Set, delta []*logic.Atom, opts chase.Options, b Budget, exec chase.Executor) (*Ticket, error) {
-	opts, progress, obs := s.instrumentEngine(opts, "resume")
-	j := ResumeJob(name, cp, sigma, delta, opts, b, exec)
-	j.Meta = meta
-	return s.submit(ctx, j, progress, obs)
-}
-
-// instrumentEngine applies the scheduler's per-engine-job wiring to an
-// options value: the shared compiler (when the job brings none), the
-// latest-wins progress forward, and — with telemetry on — the metering
-// observer beside any observer the caller brought. The observer's trace
-// handle is filled in by submit, under the admission step, before the
-// job can reach a worker; kind names its terminal trace span.
-func (s *Scheduler) instrumentEngine(opts chase.Options, kind string) (chase.Options, chan chase.Stats, *chaseObserver) {
-	if opts.Compile == nil {
-		opts.Compile = s.compiler
-	}
-	progress := make(chan chase.Stats, 1)
-	prev := opts.Progress
-	opts.Progress = func(st chase.Stats) {
-		if prev != nil {
-			prev(st)
-		}
-		pushLatest(progress, st)
-	}
-	var obs *chaseObserver
-	if s.tel != nil {
-		obs = &chaseObserver{m: s.tel, kind: kind}
-		opts.Observer = chase.MultiObserver(opts.Observer, obs)
-	}
-	return opts, progress, obs
-}
-
-// pushLatest delivers st to a 1-buffered channel with latest-wins
-// semantics. Single producer (the engine goroutine); the consumer may
-// receive concurrently.
-func pushLatest(ch chan chase.Stats, st chase.Stats) {
-	select {
-	case ch <- st:
-		return
-	default:
-	}
-	// Full: evict the stale event (unless the consumer just took it) and
-	// deliver. With one producer the second send cannot find the channel
-	// full again, so the event is never dropped from the tail.
-	select {
-	case <-ch:
-	default:
-	}
-	select {
-	case ch <- st:
-	default:
-	}
-}
-
-// admitted instruments one successful admission: the admission counter,
-// the queue-wait start mark, and — when tracing — the ticket's trace
-// with its admit event, shared with the chase observer. It runs before
-// enqueue, so the observer's trace handle is published to the worker
-// goroutine by the enqueue itself.
-func (s *Scheduler) admitted(t *Ticket, obs *chaseObserver) {
-	if s.tel == nil {
-		return
-	}
-	lane, tenant := t.job.Meta.Priority.String(), tenantLabel(t.job.Meta.Tenant)
-	s.tel.admitted.With(lane, tenant).Inc()
-	t.enqueued = time.Now()
-	if s.tel.trace != nil {
-		t.trace = s.tel.trace.Job(t.job.Name, t.index)
-		if obs != nil {
-			obs.trace = t.trace
-		}
-		t.trace.Event("admit", "tenant", tenant, "lane", lane)
-	}
-}
-
-func (s *Scheduler) submit(ctx context.Context, j Job, progress chan chase.Stats, obs *chaseObserver) (*Ticket, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	var progress chan chase.Stats
+	var obs *chaseObserver
+	if j.engine.run != nil {
+		j.engine.opts, progress, obs = s.instrumentEngine(j.engine.opts, j.engine.kind)
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -496,6 +387,72 @@ func (s *Scheduler) submit(ctx context.Context, j Job, progress chan chase.Stats
 	}
 }
 
+// instrumentEngine applies the scheduler's per-engine-job wiring to an
+// options value: the latest-wins progress forward and — with telemetry
+// on — the metering observer beside any observer the caller brought. The
+// observer's trace handle is filled in by SubmitIn, under the admission
+// step, before the job can reach a worker; kind names its terminal trace
+// span.
+func (s *Scheduler) instrumentEngine(opts chase.Options, kind string) (chase.Options, chan chase.Stats, *chaseObserver) {
+	progress := make(chan chase.Stats, 1)
+	prev := opts.Progress
+	opts.Progress = func(st chase.Stats) {
+		if prev != nil {
+			prev(st)
+		}
+		pushLatest(progress, st)
+	}
+	var obs *chaseObserver
+	if s.tel != nil {
+		obs = &chaseObserver{m: s.tel, kind: kind}
+		opts.Observer = chase.MultiObserver(opts.Observer, obs)
+	}
+	return opts, progress, obs
+}
+
+// pushLatest delivers st to a 1-buffered channel with latest-wins
+// semantics. Single producer (the engine goroutine); the consumer may
+// receive concurrently.
+func pushLatest(ch chan chase.Stats, st chase.Stats) {
+	select {
+	case ch <- st:
+		return
+	default:
+	}
+	// Full: evict the stale event (unless the consumer just took it) and
+	// deliver. With one producer the second send cannot find the channel
+	// full again, so the event is never dropped from the tail.
+	select {
+	case <-ch:
+	default:
+	}
+	select {
+	case ch <- st:
+	default:
+	}
+}
+
+// admitted instruments one successful admission: the admission counter,
+// the queue-wait start mark, and — when tracing — the ticket's trace
+// with its admit event, shared with the chase observer. It runs before
+// enqueue, so the observer's trace handle is published to the worker
+// goroutine by the enqueue itself.
+func (s *Scheduler) admitted(t *Ticket, obs *chaseObserver) {
+	if s.tel == nil {
+		return
+	}
+	lane, tenant := t.job.Meta.Priority.String(), tenantLabel(t.job.Meta.Tenant)
+	s.tel.admitted.With(lane, tenant).Inc()
+	t.enqueued = time.Now()
+	if s.tel.trace != nil {
+		t.trace = s.tel.trace.Job(t.job.Name, t.index)
+		if obs != nil {
+			obs.trace = t.trace
+		}
+		t.trace.Event("admit", "tenant", tenant, "lane", lane)
+	}
+}
+
 // enqueue publishes an admitted ticket: into the fair queue, then one
 // work token. The caller has already taken a slot token, so the queue
 // never exceeds the bound and the work send never blocks.
@@ -553,11 +510,11 @@ func (s *Scheduler) worker() {
 // scratch-aware job.
 func (s *Scheduler) ScratchReuses() int64 { return s.scratchReuses.Load() }
 
-// run executes one ticket and delivers its result. The classification
-// mirrors the batch Pool's contract: TimedOut means the job's own wall
-// budget expired; preemption through the ticket's context (Cancel or a
-// parent context's cancellation/deadline) is Canceled; a job that absorbs
-// the preemption and still returns a value counts as succeeded.
+// run executes one ticket and delivers its result. TimedOut means the
+// job's own wall budget expired; preemption through the ticket's context
+// (Cancel or a parent context's cancellation/deadline) is Canceled; a job
+// that absorbs the preemption and still returns a value counts as
+// succeeded.
 func (s *Scheduler) run(t *Ticket, sc *chase.Scratch) {
 	defer s.release()
 	defer t.cancelFn()
@@ -571,7 +528,7 @@ func (s *Scheduler) run(t *Ticket, sc *chase.Scratch) {
 		if t.job.Wall > 0 {
 			jctx, cancel = context.WithTimeout(t.ctx, t.job.Wall)
 		}
-		if t.job.RunScratch != nil && sc != nil && sc.Runs() > 0 {
+		if t.job.engine.run != nil && sc.Runs() > 0 {
 			s.scratchReuses.Add(1)
 		}
 		t0 := time.Now()
@@ -596,15 +553,16 @@ func (s *Scheduler) run(t *Ticket, sc *chase.Scratch) {
 // long-lived serving scheduler one panicking tenant must fail its own
 // ticket, not unwind a worker goroutine and kill every other tenant's
 // process. (The intra-run Executor keeps its own contract of re-panicking
-// on the calling goroutine — there the caller is the one run.)
+// on the calling goroutine — there the caller is the one run.) Only
+// engine jobs receive the worker's scratch.
 func invoke(j Job, ctx context.Context, sc *chase.Scratch) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			v, err = nil, fmt.Errorf("runtime: job %s panicked: %v", j.Name, p)
 		}
 	}()
-	if j.RunScratch != nil && sc != nil {
-		return j.RunScratch(ctx, sc)
+	if j.engine.run != nil {
+		return j.engine.exec(ctx, sc)
 	}
 	return j.Run(ctx)
 }
@@ -648,12 +606,12 @@ func (s *Scheduler) Close() {
 
 // Gather waits for every ticket and returns the results collated in the
 // given (submission) order. It is the bridge from the streaming scheduler
-// back to batch semantics: the batch Pool and the experiment fleets use
-// it so their aggregates stay submission-ordered — and byte-identical to
-// the pre-streaming runtime. Callers that want completion-order events
-// attach their own per-ticket watchers at submission time (as the
-// XP-RESTRICTED sweep does), which observes finishes even while the
-// submitter is still parked on the queue bound.
+// back to batch semantics: fleets that submit from one goroutine use it
+// so their aggregates stay submission-ordered and byte-identical at any
+// worker count. Callers that want completion-order events attach their
+// own per-ticket watchers at submission time (as the XP-RESTRICTED sweep
+// does), which observes finishes even while the submitter is still parked
+// on the queue bound.
 func Gather(tickets []*Ticket) []JobResult {
 	out := make([]JobResult, len(tickets))
 	for i, t := range tickets {

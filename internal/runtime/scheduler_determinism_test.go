@@ -15,10 +15,11 @@ var errFleetProbe = errors.New("fleet probe failure")
 
 // The streaming regression contract: a fleet run through the streaming
 // Scheduler — submitted incrementally against a small bounded queue,
-// consumed in completion order, collated by Gather — yields exactly the
-// same JobResults (CanonicalKey, Stats, errors, order after collation) as
-// the batch Pool, for all three chase variants at 1 and 4 workers.
-func TestSchedulerFleetMatchesPool(t *testing.T) {
+// consumed in completion order, collated by Gather — yields for every job
+// exactly what a direct sequential chase.Run yields (CanonicalKey, Stats,
+// termination), with errors propagated and results in submission order,
+// for all three chase variants at 1 and 4 workers.
+func TestSchedulerFleetMatchesSequential(t *testing.T) {
 	rcfg := families.RandomConfig{
 		Predicates: 3, MaxArity: 3, Rules: 3, MaxHeadAtoms: 2,
 		ExistentialProb: 0.4, RepeatProb: 0.3, SideAtoms: 1,
@@ -36,79 +37,63 @@ func TestSchedulerFleetMatchesPool(t *testing.T) {
 	variants := []chase.Variant{chase.SemiOblivious, chase.Oblivious, chase.Restricted}
 	const budget = 400 // truncates the non-terminating workloads mid-run
 
-	// jobs builds the fleet fresh per run (Job.Run closures are stateless,
-	// but fresh construction mirrors two independent serving processes).
-	// The fleet mixes chase jobs with a failing probe so error propagation
-	// is compared too.
-	jobs := func(v chase.Variant) []Job {
-		var js []Job
-		for i, w := range workloads {
-			w := w
-			js = append(js, ChaseJob(fmt.Sprintf("%v-%d", v, i), w.Database, w.Sigma,
-				chase.Options{Variant: v, MaxAtoms: budget}, Budget{}, nil))
-		}
-		js = append(js, Job{Name: "probe", Run: func(context.Context) (any, error) {
-			return nil, errFleetProbe
-		}})
-		return js
-	}
-
 	for _, v := range variants {
+		opts := chase.Options{Variant: v, MaxAtoms: budget}
+		want := make([]*chase.Result, len(workloads))
+		for i, w := range workloads {
+			want[i] = chase.Run(w.Database, w.Sigma, opts)
+		}
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("%v/w%d", v, workers)
-
-			p := NewPool(workers)
-			for _, j := range jobs(v) {
-				p.Submit(j)
-			}
-			batch, stats := p.Run(context.Background())
-
+			// The fleet mixes chase jobs with a failing probe so error
+			// propagation is checked too.
 			s := NewScheduler(SchedulerConfig{Workers: workers, QueueBound: 2})
-			tickets := make([]*Ticket, 0, len(batch))
-			for _, j := range jobs(v) {
+			var tickets []*Ticket
+			submit := func(j Job) {
 				tk, err := s.Submit(j) // blocks at the bound: real backpressure
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				tickets = append(tickets, tk)
 			}
+			for i, w := range workloads {
+				submit(ChaseJob(fmt.Sprintf("%v-%d", v, i), w.Database, w.Sigma, opts))
+			}
+			submit(Job{Name: "probe", Run: func(context.Context) (any, error) {
+				return nil, errFleetProbe
+			}})
 			streamed := Gather(tickets)
 			s.Close()
 
-			if stats.Failed != 1 || stats.Succeeded != len(batch)-1 {
-				t.Fatalf("%s: pool stats %+v", name, stats)
+			if len(streamed) != len(workloads)+1 {
+				t.Fatalf("%s: %d streamed results, want %d", name, len(streamed), len(workloads)+1)
 			}
-			if len(streamed) != len(batch) {
-				t.Fatalf("%s: %d streamed results vs %d batch", name, len(streamed), len(batch))
+			if probe := streamed[len(workloads)]; probe.Name != "probe" || !errors.Is(probe.Err, errFleetProbe) {
+				t.Fatalf("%s: probe result %+v, want errFleetProbe", name, probe)
 			}
-			for i := range batch {
-				b, g := batch[i], streamed[i]
-				if b.Name != g.Name || !errors.Is(g.Err, b.Err) || !errors.Is(b.Err, g.Err) {
-					t.Fatalf("%s: result %d diverges: batch {%s %v} vs streamed {%s %v}",
-						name, i, b.Name, b.Err, g.Name, g.Err)
-				}
+			for i, g := range streamed {
 				if g.Index != tickets[i].Index() {
 					t.Fatalf("%s: result %d collated under index %d, ticket %d",
 						name, i, g.Index, tickets[i].Index())
 				}
-				if b.Value == nil != (g.Value == nil) {
-					t.Fatalf("%s: result %d value presence diverges", name, i)
-				}
-				if b.Value == nil {
+				if i == len(workloads) {
 					continue
 				}
-				br, gr := b.Value.(*chase.Result), g.Value.(*chase.Result)
-				if br.Terminated != gr.Terminated {
-					t.Fatalf("%s: job %s terminated %v (batch) vs %v (streamed)",
-						name, b.Name, br.Terminated, gr.Terminated)
+				if wantName := fmt.Sprintf("%v-%d", v, i); g.Name != wantName || g.Err != nil {
+					t.Fatalf("%s: result %d is {%s %v}, want {%s <nil>}", name, i, g.Name, g.Err, wantName)
 				}
-				if br.Stats != gr.Stats {
-					t.Fatalf("%s: job %s stats diverge:\nbatch    %+v\nstreamed %+v",
-						name, b.Name, br.Stats, gr.Stats)
+				wr, gr := want[i], g.Value.(*chase.Result)
+				if wr.Terminated != gr.Terminated {
+					t.Fatalf("%s: job %s terminated %v (sequential) vs %v (scheduled)",
+						name, g.Name, wr.Terminated, gr.Terminated)
 				}
-				if bk, gk := br.Instance.CanonicalKey(), gr.Instance.CanonicalKey(); bk != gk {
+				if wr.Stats != gr.Stats {
+					t.Fatalf("%s: job %s stats diverge:\nsequential %+v\nscheduled  %+v",
+						name, g.Name, wr.Stats, gr.Stats)
+				}
+				if wk, gk := wr.Instance.CanonicalKey(), gr.Instance.CanonicalKey(); wk != gk {
 					t.Fatalf("%s: job %s CanonicalKey diverges (%d vs %d atoms)",
-						name, b.Name, br.Instance.Len(), gr.Instance.Len())
+						name, g.Name, wr.Instance.Len(), gr.Instance.Len())
 				}
 			}
 		}

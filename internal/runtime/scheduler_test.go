@@ -373,7 +373,7 @@ func TestSchedulerCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// SubmitChase tickets stream round-level progress: a multi-round run
+// ChaseJob tickets stream round-level progress: a multi-round run
 // delivers at least one event (latest-wins may collapse the rest), the
 // stream is closed before the result lands, and the final observed event
 // is consistent with the result's statistics.
@@ -383,7 +383,7 @@ func TestSchedulerChaseProgressStream(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1})
 	defer s.Close()
 
-	tk, err := s.SubmitChase("walk", db, sigma, chase.Options{}, Budget{MaxRounds: 40}, nil)
+	tk, err := s.Submit(ChaseJob("walk", db, sigma, chase.Options{MaxRounds: 40}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -98,7 +99,7 @@ func TestSchedulerScratchReuseCounter(t *testing.T) {
 	const jobs = 5
 	tickets := make([]*Ticket, 0, jobs)
 	for i := 0; i < jobs; i++ {
-		tk, err := s.SubmitChase(fmt.Sprintf("job-%d", i), w.Database, w.Sigma, chase.Options{}, Budget{}, nil)
+		tk, err := s.Submit(ChaseJob(fmt.Sprintf("job-%d", i), w.Database, w.Sigma, chase.Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestExplicitScratchWins(t *testing.T) {
 	opts := chase.Options{Scratch: sc}
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 2})
 	defer s.Close()
-	tk, err := s.SubmitChase("explicit", w.Database, w.Sigma, opts, Budget{}, nil)
+	tk, err := s.Submit(ChaseJob("explicit", w.Database, w.Sigma, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,5 +138,69 @@ func TestExplicitScratchWins(t *testing.T) {
 	}
 	if sc.Runs() != 1 {
 		t.Fatalf("explicit scratch served %d runs, want 1", sc.Runs())
+	}
+}
+
+// Opaque jobs (a Job literal with Run) and engine jobs (ChaseJob) share
+// one worker: only engine jobs receive the worker's scratch, so only the
+// engine jobs after the first count as reuses, and only engine jobs get a
+// live progress stream — an opaque job's Progress is the closed sentinel.
+func TestScratchReuseCountsOnlyEngineJobs(t *testing.T) {
+	w := families.GLower(1, 1, 1)
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 8})
+	defer s.Close()
+	opaque := func(i int) Job {
+		return Job{Name: fmt.Sprintf("opaque-%d", i), Run: func(context.Context) (any, error) { return i, nil }}
+	}
+	fleet := []Job{
+		opaque(0),
+		ChaseJob("chase-0", w.Database, w.Sigma, chase.Options{}),
+		opaque(1),
+		opaque(2),
+		ChaseJob("chase-1", w.Database, w.Sigma, chase.Options{}),
+		opaque(3),
+		ChaseJob("chase-2", w.Database, w.Sigma, chase.Options{}),
+	}
+	const engineJobs = 3
+	tickets := make([]*Ticket, len(fleet))
+	for i, j := range fleet {
+		tk, err := s.Submit(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets[i] = tk
+	}
+	base := chase.Run(w.Database, w.Sigma, chase.Options{})
+	for i, r := range Gather(tickets) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+		progress := tickets[i].Progress()
+		if res, ok := r.Value.(*chase.Result); ok {
+			if res.Stats != base.Stats || res.Instance.CanonicalKey() != base.Instance.CanonicalKey() {
+				t.Fatalf("%s: pooled-scratch job diverges from direct run", r.Name)
+			}
+			if progress == (<-chan chase.Stats)(closedProgress) {
+				t.Fatalf("%s: engine job got the closed sentinel, want a live stream", r.Name)
+			}
+			// Latest-wins keeps the final round's event buffered until
+			// the consumer takes it; the stream closes after it.
+			if st, ok := <-progress; !ok || st.Rounds != res.Stats.Rounds {
+				t.Fatalf("%s: progress tail (%+v, %v), want the final round %d", r.Name, st, ok, res.Stats.Rounds)
+			}
+			if _, ok := <-progress; ok {
+				t.Fatalf("%s: progress stream not closed after the job", r.Name)
+			}
+			continue
+		}
+		if _, ok := r.Value.(int); !ok {
+			t.Fatalf("%s: value %v, want the opaque job's int", r.Name, r.Value)
+		}
+		if progress != (<-chan chase.Stats)(closedProgress) {
+			t.Fatalf("%s: opaque job got a progress stream, want the closed sentinel", r.Name)
+		}
+	}
+	if got := s.ScratchReuses(); got != engineJobs-1 {
+		t.Fatalf("ScratchReuses = %d, want %d (engine jobs after the first only)", got, engineJobs-1)
 	}
 }

@@ -100,7 +100,7 @@ func outcomeOf(r JobResult) string {
 // only, so the non-atomic cursor fields are safe.
 type chaseObserver struct {
 	m     *schedTelemetry
-	trace *telemetry.JobTrace // set by submit before enqueue; nil when tracing is off
+	trace *telemetry.JobTrace // set by SubmitIn before enqueue; nil when tracing is off
 	kind  string              // terminal span name; "" means "chase" ("resume" for resumed jobs)
 
 	started    bool

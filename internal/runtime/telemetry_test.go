@@ -28,9 +28,9 @@ func TestSchedulerTelemetryMetrics(t *testing.T) {
 	const chaseJobs = 3
 	tickets := make([]*Ticket, 0, chaseJobs)
 	for i := 0; i < chaseJobs; i++ {
-		tk, err := s.SubmitChaseMeta(context.Background(),
-			JobMeta{Tenant: "acme", Priority: PriorityHigh},
-			fmt.Sprintf("job-%d", i), w.Database, w.Sigma, chase.Options{}, Budget{}, nil)
+		j := ChaseJob(fmt.Sprintf("job-%d", i), w.Database, w.Sigma, chase.Options{})
+		j.Meta = JobMeta{Tenant: "acme", Priority: PriorityHigh}
+		tk, err := s.Submit(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,13 +108,13 @@ func TestSchedulerTelemetryTrace(t *testing.T) {
 	tel.Trace = telemetry.NewTraceSink()
 	base := time.Unix(42, 0)
 	tel.Trace.SetClock(func() time.Time { return base })
-	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1, Telemetry: tel,
-		Compiler: compile.NewCache(4)})
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1, Telemetry: tel})
 	defer s.Close()
 
 	db := parser.MustParseDatabase(`e(a, b).`)
 	sigma := parser.MustParseRules(`e(X, Y) -> ∃Z e(Y, Z).`)
-	tk, err := s.SubmitChase("walk", db, sigma, chase.Options{}, Budget{MaxRounds: 5}, nil)
+	tk, err := s.Submit(ChaseJob("walk", db, sigma,
+		chase.Options{MaxRounds: 5, Compile: compile.NewCache(4)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestChaseObserverRemainder(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1, Telemetry: tel})
 	defer s.Close()
 	w := families.GLower(1, 1, 1)
-	tk, err := s.SubmitChase("one", w.Database, w.Sigma, chase.Options{}, Budget{}, nil)
+	tk, err := s.Submit(ChaseJob("one", w.Database, w.Sigma, chase.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,6 @@ func New(cfg Config) *Service {
 			Workers:      cfg.Workers,
 			QueueBound:   cfg.QueueBound,
 			Backpressure: cfg.Backpressure,
-			Compiler:     cache,
 			Telemetry:    cfg.Telemetry,
 		}),
 		cache: cache,
@@ -229,10 +228,12 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 		Progress:         req.Progress,
 		Compile:          s.cache,
 		Checkpoint:       req.Checkpoint,
+		Executor:         executor(req.Workers, req.Executor),
 	}
 	s.applyChaseDecision(&opts, dec, fp)
-	t, err := s.sched.SubmitChaseMeta(ctx, req.Meta.jobMeta(), name, db, sigma, opts,
-		rt.Budget{Wall: dec.Wall}, executor(req.Workers, req.Executor))
+	j := rt.ChaseJob(name, db, sigma, opts)
+	j.Meta, j.Wall = req.Meta.jobMeta(), dec.Wall
+	t, err := s.sched.SubmitIn(ctx, j)
 	if err != nil {
 		return nil, wrapErr(OpChase, name, KindInternal, err)
 	}
@@ -304,10 +305,12 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 		Progress:         req.Progress,
 		Compile:          s.cache,
 		Checkpoint:       req.Chain,
+		Executor:         executor(req.Workers, req.Executor),
 	}
 	s.applyChaseDecision(&opts, dec, cp.Fingerprint)
-	t, err := s.sched.SubmitResumeMeta(ctx, req.Meta.jobMeta(), name, cp, sigma, req.Delta, opts,
-		rt.Budget{Wall: dec.Wall}, executor(req.Workers, req.Executor))
+	j := rt.ResumeJob(name, cp, sigma, req.Delta, opts)
+	j.Meta, j.Wall = req.Meta.jobMeta(), dec.Wall
+	t, err := s.sched.SubmitIn(ctx, j)
 	if err != nil {
 		return nil, wrapErr(OpResume, name, KindInternal, err)
 	}
