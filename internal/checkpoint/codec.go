@@ -1,7 +1,8 @@
 package checkpoint
 
-// The artifact format. All integers are unsigned varints except fresh
-// term values (zigzag-signed); strings are length-prefixed. Layout:
+// The artifact format, written and read with internal/wire's Writer and
+// Reader: all integers are canonical unsigned varints except fresh term
+// values (zigzag-signed); strings are length-prefixed. Layout:
 //
 //	magic "CP", version varint (1)
 //	fingerprint: 32 raw bytes (compile.Of)
@@ -12,11 +13,10 @@ package checkpoint
 //	next null id varint (factory high-water mark)
 //	delta start varint (semi-naive window start)
 //	snapshot: length varint + a wire snapshot of the instance
-//	fired term manifest: count; per term: tag byte + payload
-//	    (tags and payloads exactly as in the wire manifest: 'c'
-//	    constant, 'f' fresh, 'n' null as factory id + depth, 'v'
-//	    variable, 'o' foreign key + rendering; first-occurrence order
-//	    over the fired tuples' term ids)
+//	fired term manifest: count; per term: one wire manifest record,
+//	    written by wire.Writer.Term and parsed by wire.Reader.Term
+//	    (nulls resolved against the snapshot's); first-occurrence
+//	    order over the fired tuples' term ids
 //	fired tuples: count; per tuple: TGD index varint, id count varint,
 //	    then manifest indexes
 //	checksum: first 8 bytes of the SHA-256 of everything before it
@@ -39,9 +39,7 @@ package checkpoint
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/chase"
 	"repro/internal/logic"
@@ -84,23 +82,21 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 		}
 	}
 
-	e := &encoder{buf: make([]byte, 0, 256+16*c.Instance.Len())}
-	e.buf = append(e.buf, 'C', 'P')
-	e.uint(Version)
-	e.buf = append(e.buf, c.Fingerprint[:]...)
-	e.buf = append(e.buf, c.Exact[:]...)
-	e.uint(uint64(c.Variant))
+	w := &wire.Writer{Buf: make([]byte, 0, 256+16*c.Instance.Len())}
+	w.Buf = append(w.Buf, 'C', 'P')
+	w.Uvarint(Version)
+	w.Raw(c.Fingerprint[:])
+	w.Raw(c.Exact[:])
+	w.Uvarint(uint64(c.Variant))
 	var flags byte
 	if c.Terminated {
 		flags |= 1
 	}
-	e.buf = append(e.buf, flags)
-	e.uint(uint64(c.Rounds))
-	e.uint(uint64(c.State.NextNullID))
-	e.uint(uint64(c.State.DeltaStart))
-	snap := wire.EncodeSnapshot(c.Instance)
-	e.uint(uint64(len(snap)))
-	e.buf = append(e.buf, snap...)
+	w.Byte(flags)
+	w.Uvarint(uint64(c.Rounds))
+	w.Uvarint(uint64(c.State.NextNullID))
+	w.Uvarint(uint64(c.State.DeltaStart))
+	w.Blob(wire.EncodeSnapshot(c.Instance))
 
 	// Fired term manifest in first-occurrence order.
 	var (
@@ -128,40 +124,22 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 			terms = append(terms, t)
 		}
 	}
-	e.uint(uint64(len(terms)))
+	w.Uvarint(uint64(len(terms)))
 	for _, t := range terms {
-		switch x := t.(type) {
-		case logic.Constant:
-			e.buf = append(e.buf, 'c')
-			e.str(string(x))
-		case logic.Fresh:
-			e.buf = append(e.buf, 'f')
-			e.buf = binary.AppendVarint(e.buf, int64(x))
-		case *logic.Null:
-			e.buf = append(e.buf, 'n')
-			e.uint(uint64(x.ID()))
-			e.uint(uint64(x.Depth()))
-		case logic.Variable:
-			e.buf = append(e.buf, 'v')
-			e.str(string(x))
-		default:
-			e.buf = append(e.buf, 'o')
-			e.str(t.Key())
-			e.str(t.String())
-		}
+		w.Term(t)
 	}
-	e.uint(uint64(len(c.State.Fired)))
+	w.Uvarint(uint64(len(c.State.Fired)))
 	for _, tuple := range c.State.Fired {
-		e.uint(uint64(tuple[0]))
-		e.uint(uint64(len(tuple) - 1))
+		w.Uvarint(uint64(tuple[0]))
+		w.Uvarint(uint64(len(tuple) - 1))
 		for _, id := range tuple[1:] {
-			e.uint(uint64(termIdx[id]))
+			w.Uvarint(uint64(termIdx[id]))
 		}
 	}
 
-	sum := sha256.Sum256(e.buf)
-	e.buf = append(e.buf, sum[:checksumLen]...)
-	return e.buf, nil
+	sum := sha256.Sum256(w.Buf)
+	w.Raw(sum[:checksumLen])
+	return w.Buf, nil
 }
 
 // Decode parses and validates an artifact. The returned checkpoint owns
@@ -179,12 +157,11 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if [checksumLen]byte(tail) != [checksumLen]byte(sum[:checksumLen]) {
 		return nil, fmt.Errorf("%w: checksum mismatch (truncated or altered artifact)", ErrCorrupt)
 	}
-	r := &reader{data: payload}
 	if payload[0] != 'C' || payload[1] != 'P' {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	r.pos = 2
-	v, err := r.count("version")
+	r := wire.NewReader(payload[2:], ErrCorrupt)
+	v, err := r.Count("version")
 	if err != nil {
 		return nil, err
 	}
@@ -192,17 +169,17 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, Version)
 	}
 	c := &Checkpoint{State: &chase.ResumeState{}}
-	fp, err := r.raw(sha256.Size, "fingerprint")
+	fp, err := r.Raw(sha256.Size, "fingerprint")
 	if err != nil {
 		return nil, err
 	}
 	copy(c.Fingerprint[:], fp)
-	ex, err := r.raw(sha256.Size, "exact digest")
+	ex, err := r.Raw(sha256.Size, "exact digest")
 	if err != nil {
 		return nil, err
 	}
 	copy(c.Exact[:], ex)
-	variant, err := r.count("variant")
+	variant, err := r.Count("variant")
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +188,7 @@ func Decode(data []byte) (*Checkpoint, error) {
 	}
 	c.Variant = chase.Variant(variant)
 	c.State.Variant = c.Variant
-	flags, err := r.byte("flags")
+	flags, err := r.Byte("flags")
 	if err != nil {
 		return nil, err
 	}
@@ -219,20 +196,16 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrCorrupt, flags)
 	}
 	c.Terminated = flags&1 != 0
-	if c.Rounds, err = r.count("rounds"); err != nil {
+	if c.Rounds, err = r.Count("rounds"); err != nil {
 		return nil, err
 	}
-	if c.State.NextNullID, err = r.count("next null id"); err != nil {
+	if c.State.NextNullID, err = r.Count("next null id"); err != nil {
 		return nil, err
 	}
-	if c.State.DeltaStart, err = r.count("delta start"); err != nil {
+	if c.State.DeltaStart, err = r.Count("delta start"); err != nil {
 		return nil, err
 	}
-	snapLen, err := r.count("snapshot length")
-	if err != nil {
-		return nil, err
-	}
-	snap, err := r.raw(snapLen, "snapshot")
+	snap, err := r.Blob("snapshot")
 	if err != nil {
 		return nil, err
 	}
@@ -254,91 +227,46 @@ func Decode(data []byte) (*Checkpoint, error) {
 			}
 		}
 	}
-	nterms, err := r.records("fired term count")
+	resolve := func(id, depth int) (logic.Term, error) {
+		n, ok := nullByID[id]
+		if !ok {
+			return nil, fmt.Errorf("%w: fired key references null %d, which the snapshot does not contain", ErrCorrupt, id)
+		}
+		if n.Depth() != depth {
+			return nil, fmt.Errorf("%w: fired key null %d at depth %d, snapshot has depth %d", ErrCorrupt, id, depth, n.Depth())
+		}
+		return n, nil
+	}
+	nterms, err := r.Records("fired term count")
 	if err != nil {
 		return nil, err
 	}
 	termIDs := make([]int32, nterms)
 	for i := range termIDs {
-		tag, err := r.byte("fired term tag")
+		term, err := r.Term(resolve)
 		if err != nil {
 			return nil, err
 		}
-		var term logic.Term
-		switch tag {
-		case 'c':
-			s, err := r.str("constant")
-			if err != nil {
-				return nil, err
-			}
-			term = logic.Constant(s)
-		case 'f':
-			v, err := r.int("fresh value")
-			if err != nil {
-				return nil, err
-			}
-			term = logic.Fresh(v)
-		case 'n':
-			id, err := r.count("null id")
-			if err != nil {
-				return nil, err
-			}
-			depth, err := r.count("null depth")
-			if err != nil {
-				return nil, err
-			}
-			n, ok := nullByID[id]
-			if !ok {
-				return nil, fmt.Errorf("%w: fired key references null %d, which the snapshot does not contain", ErrCorrupt, id)
-			}
-			if n.Depth() != depth {
-				return nil, fmt.Errorf("%w: fired key null %d at depth %d, snapshot has depth %d", ErrCorrupt, id, depth, n.Depth())
-			}
-			term = n
-		case 'v':
-			s, err := r.str("variable")
-			if err != nil {
-				return nil, err
-			}
-			term = logic.Variable(s)
-		case 'o':
-			key, err := r.str("foreign key")
-			if err != nil {
-				return nil, err
-			}
-			rendering, err := r.str("foreign rendering")
-			if err != nil {
-				return nil, err
-			}
-			if term, err = wire.ForeignTerm(key, rendering); err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown fired term tag %q", ErrCorrupt, tag)
-		}
 		termIDs[i] = logic.IDOf(term)
 	}
-	nfired, err := r.records("fired tuple count")
+	nfired, err := r.Records("fired tuple count")
 	if err != nil {
 		return nil, err
 	}
 	c.State.Fired = make([][]int32, nfired)
 	for i := range c.State.Fired {
-		tgdIdx, err := r.count("fired TGD index")
+		tgdIdx, err := r.Count("fired TGD index")
 		if err != nil {
 			return nil, err
 		}
-		if tgdIdx > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: fired TGD index %d out of range", ErrCorrupt, tgdIdx)
-		}
-		nids, err := r.records("fired key width")
+		nids, err := r.Records("fired key width")
 		if err != nil {
 			return nil, err
 		}
 		tuple := make([]int32, 1, 1+nids)
 		tuple[0] = int32(tgdIdx)
 		for range nids {
-			ti, err := r.count("fired term index")
+			ti, err := r.Count("fired term index")
 			if err != nil {
 				return nil, err
 			}
@@ -349,89 +277,8 @@ func Decode(data []byte) (*Checkpoint, error) {
 		}
 		c.State.Fired[i] = tuple
 	}
-	if r.pos != len(r.data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.data)-r.pos)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return c, nil
-}
-
-type encoder struct {
-	buf []byte
-}
-
-func (e *encoder) uint(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-
-func (e *encoder) str(s string) {
-	e.uint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// reader is a bounds-checked cursor, the same discipline as the wire
-// codec's: every count and index goes through count/records, which
-// bounds what hostile input can make the decoder allocate.
-type reader struct {
-	data []byte
-	pos  int
-}
-
-func (r *reader) byte(what string) (byte, error) {
-	if r.pos >= len(r.data) {
-		return 0, fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *reader) raw(n int, what string) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.data) {
-		return nil, fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *reader) count(what string) (int, error) {
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-	}
-	r.pos += n
-	return int(v), nil
-}
-
-func (r *reader) records(what string) (int, error) {
-	n, err := r.count(what)
-	if err != nil {
-		return 0, err
-	}
-	if n > len(r.data)-r.pos {
-		return 0, fmt.Errorf("%w: %s %d exceeds remaining input", ErrCorrupt, what, n)
-	}
-	return n, nil
-}
-
-func (r *reader) int(what string) (int, error) {
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 || v > math.MaxInt32 || v < math.MinInt32 {
-		return 0, fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-	}
-	r.pos += n
-	return int(v), nil
-}
-
-func (r *reader) str(what string) (string, error) {
-	n, err := r.count(what + " length")
-	if err != nil {
-		return "", err
-	}
-	if r.pos+n > len(r.data) {
-		return "", fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-	}
-	s := string(r.data[r.pos : r.pos+n])
-	r.pos += n
-	return s, nil
 }

@@ -7,8 +7,14 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/logic"
-	"repro/internal/wire"
 )
+
+// foreignTerm is a term kind defined outside internal/logic; the codec
+// carries it as an opaque (key, rendering) record under the 'o' tag.
+type foreignTerm string
+
+func (f foreignTerm) Key() string    { return "ext:" + string(f) }
+func (f foreignTerm) String() string { return "⟨" + string(f) + "⟩" }
 
 // The fired-key manifest speaks the wire codec's full tag vocabulary,
 // not just the constants and nulls a ground chase produces: fresh terms
@@ -31,10 +37,7 @@ func TestCodecSyntheticTermManifest(t *testing.T) {
 		t.Fatal("setup: null atom not found")
 	}
 
-	foreign, err := wire.ForeignTerm("ext:probe", "⟨probe⟩")
-	if err != nil {
-		t.Fatal(err)
-	}
+	foreign := foreignTerm("probe")
 	cp := &Checkpoint{
 		Variant:    chase.Oblivious,
 		Terminated: true,
@@ -96,10 +99,7 @@ func TestDecodeResealedDamage(t *testing.T) {
 
 	inst := logic.NewInstance()
 	inst.Add(logic.MakeAtom("p", logic.Constant("a")))
-	foreign, err := wire.ForeignTerm("ext:d", "⟨d⟩")
-	if err != nil {
-		t.Fatal(err)
-	}
+	foreign := foreignTerm("d")
 	cp := &Checkpoint{
 		Instance: inst,
 		State: &chase.ResumeState{

@@ -75,7 +75,9 @@ type Config struct {
 
 // Job is one fleet chase: the at-rest subset of service.ChaseRequest,
 // addressed by fingerprint, with the database as a wire snapshot plus
-// deltas.
+// deltas. It is also the Submit frame's message: every field but
+// Progress crosses the wire, and Progress crosses as a flag asking the
+// worker to stream Progress frames.
 type Job struct {
 	Name     string
 	Tenant   string
@@ -348,23 +350,7 @@ func (w *workerLink) serve(job Job) Result {
 func (w *workerLink) exchange(job Job) (Result, error) {
 	pulled := false
 	for {
-		if err := w.send(kindSubmit, encodeSubmit(submitMsg{
-			Name:             job.Name,
-			Tenant:           job.Tenant,
-			Priority:         job.Priority,
-			Fingerprint:      job.Fingerprint,
-			Variant:          job.Variant,
-			MaxAtoms:         job.MaxAtoms,
-			MaxRounds:        job.MaxRounds,
-			Workers:          job.Workers,
-			QoS:              job.QoS,
-			RecordDerivation: job.RecordDerivation,
-			TrackForest:      job.TrackForest,
-			NoSemiNaive:      job.NoSemiNaive,
-			WantProgress:     job.Progress != nil,
-			Snapshot:         job.Snapshot,
-			Deltas:           job.Deltas,
-		})); err != nil {
+		if err := w.send(kindSubmit, encodeSubmit(job)); err != nil {
 			return Result{}, err
 		}
 		res, retry, err := w.answer(job, &pulled)

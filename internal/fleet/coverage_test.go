@@ -14,6 +14,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/service"
 	"repro/internal/tgds"
+	"repro/internal/wire"
 )
 
 // TestReadFrameStream: the stream reader's three outcomes — clean EOF
@@ -47,10 +48,10 @@ func TestReadFrameStream(t *testing.T) {
 // encoding must fail its decoder — no prefix may silently parse as a
 // shorter valid message.
 func TestMessageTruncationSweep(t *testing.T) {
-	full := submitMsg{
+	full := Job{
 		Name: "n", Tenant: "t", Priority: -2, Fingerprint: compile.Fingerprint{7},
 		Variant: chase.Restricted, MaxAtoms: 5, MaxRounds: 6, Workers: 7,
-		RecordDerivation: true, TrackForest: true, NoSemiNaive: true, WantProgress: true,
+		RecordDerivation: true, TrackForest: true, NoSemiNaive: true, Progress: func(chase.Stats) {},
 		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d")},
 	}
 	bodies := map[string][]byte{
@@ -85,19 +86,19 @@ func TestMessageTruncationSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.RecordDerivation || !m.TrackForest || !m.NoSemiNaive || !m.WantProgress ||
+	if !m.RecordDerivation || !m.TrackForest || !m.NoSemiNaive || m.Progress == nil ||
 		m.Priority != -2 || m.Variant != chase.Restricted || string(m.Deltas[0]) != "d" {
 		t.Fatalf("submit round trip lost fields: %+v", m)
 	}
 	// A size field beyond int32 is corrupt even when bytes remain.
-	var w mwriter
-	w.str("n")
-	w.str("t")
-	w.int(0)
-	w.fp(compile.Fingerprint{})
-	w.byte(0)
-	w.uint(1 << 40) // maxAtoms out of range
-	if _, err := decodeSubmit(w.buf); !errors.Is(err, ErrFrame) {
+	var w wire.Writer
+	w.Str("n")
+	w.Str("t")
+	w.Varint(0)
+	w.Raw(new(compile.Fingerprint)[:])
+	w.Byte(0)
+	w.Uvarint(1 << 40) // maxAtoms out of range
+	if _, err := decodeSubmit(w.Buf); !errors.Is(err, ErrFrame) {
 		t.Fatalf("oversize size field: %v, want ErrFrame", err)
 	}
 }
@@ -109,7 +110,7 @@ func TestWriteServiceErrorTaxonomy(t *testing.T) {
 	if err := writeServiceError(&buf, errors.New("plain")); err != nil {
 		t.Fatal(err)
 	}
-	kind, body, _, err := DecodeFrame(buf.Bytes())
+	kind, body, _, err := decodeFrame(buf.Bytes())
 	if err != nil || kind != kindError {
 		t.Fatalf("frame: (%c, %v)", kind, err)
 	}

@@ -8,10 +8,12 @@
 // A connection carries a sequence of frames, each a fixed 8-byte header
 // — magic "FL", version byte, message-kind byte, 4-byte big-endian body
 // length — followed by the body. Bodies are varint/length-prefixed
-// records in the style of internal/wire. The client speaks strictly
-// sequentially: one Register or Submit frame, then it reads frames
-// until the terminal answer for that request (Registered, Result, or
-// Error; a Submit may be preceded by any number of Progress frames).
+// records written and read with internal/wire's shared Writer and
+// Reader (canonical varints; every decode failure wraps ErrFrame). The
+// client speaks strictly sequentially: one Register or Submit frame,
+// then it reads frames until the terminal answer for that request
+// (Registered, Result, or Error; a Submit may be preceded by any number
+// of Progress frames).
 // All three cross-process identities ride the frames unchanged: the
 // database payload is an internal/wire snapshot (CanonicalKey-,
 // order-, and Stats-preserving), the ontology is internal/compile's
@@ -126,10 +128,10 @@ func parseHeader(hdr [headerSize]byte) (kind byte, n uint32, err error) {
 	return hdr[3], n, nil
 }
 
-// DecodeFrame parses one whole frame from the front of data and returns
+// decodeFrame parses one whole frame from the front of data and returns
 // the remainder — the pure-bytes surface FuzzFleetFrame drives (the
 // socket paths share parseHeader and the message decoders with it).
-func DecodeFrame(data []byte) (kind byte, body []byte, rest []byte, err error) {
+func decodeFrame(data []byte) (kind byte, body []byte, rest []byte, err error) {
 	if len(data) < headerSize {
 		return 0, nil, nil, fmt.Errorf("%w: %d bytes, want at least a %d-byte header", ErrFrame, len(data), headerSize)
 	}

@@ -25,18 +25,18 @@ func FuzzFleetFrame(f *testing.F) {
 		}),
 	})))
 	f.Add(appendFrame(nil, kindRegistered, encodeRegistered(registeredMsg{Fingerprint: compile.Fingerprint{1, 2, 3}})))
-	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{
+	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(Job{
 		Name: "job", Tenant: "acme", Priority: -3, Variant: chase.Restricted,
 		MaxAtoms: 300, MaxRounds: 7, Workers: 4,
-		RecordDerivation: true, WantProgress: true,
+		RecordDerivation: true, Progress: func(chase.Stats) {},
 		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d1"), nil},
 	})))
-	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{
+	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(Job{
 		Name: "anytime", Variant: chase.SemiOblivious,
 		QoS:      qos.Policy{Mode: qos.Anytime, Deadline: 250 * time.Millisecond, Rounds: 3},
 		Snapshot: []byte("snap"),
 	})))
-	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(submitMsg{
+	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(Job{
 		Name: "learn", QoS: qos.Policy{Learn: true}, Snapshot: []byte("snap"),
 	})))
 	f.Add(appendFrame(nil, kindProgress, encodeProgress(chase.Stats{Atoms: 9, Rounds: 2, Nulls: 1})))
@@ -48,10 +48,15 @@ func FuzzFleetFrame(f *testing.F) {
 	})))
 	f.Add(appendFrame(nil, kindError, encodeError(errorMsg{Code: "unknown-ontology", Message: "no such σ"})))
 	f.Add([]byte{'F', 'L', Version, kindSubmit, 0, 0, 0, 0})
+	// Overlong (non-minimal) varints: a zero first stats field spelled in
+	// two bytes, and a zero rules length likewise. Accepting either would
+	// break the re-encode identity.
+	f.Add([]byte("FL\x01P\x00\x00\x00\x0b\x80\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(appendFrame(nil, kindRegister, []byte{0x80, 0x00, 0x00}))
 	f.Add([]byte("FL garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, body, rest, err := DecodeFrame(data)
+		kind, body, rest, err := decodeFrame(data)
 		if err != nil {
 			return
 		}

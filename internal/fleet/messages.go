@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/qos"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // registerMsg ships Σ to a cold worker as dlgp text — the same
@@ -28,35 +28,6 @@ type registerMsg struct {
 // computed over the received clauses.
 type registeredMsg struct {
 	Fingerprint compile.Fingerprint
-}
-
-// submitMsg is one fingerprint-addressed chase job: exactly the
-// at-rest subset of service.ChaseRequest, with the database as a wire
-// snapshot plus deltas.
-type submitMsg struct {
-	Name     string
-	Tenant   string
-	Priority service.Priority
-	// Fingerprint addresses the worker-side registered ontology.
-	Fingerprint compile.Fingerprint
-	Variant     chase.Variant
-	MaxAtoms    int
-	MaxRounds   int
-	Workers     int
-	// QoS carries the request's serving policy: the mode byte, the
-	// anytime deadline (nanoseconds) and round quota as varints, and the
-	// learn bit folded into the submit flags.
-	QoS qos.Policy
-	// Flags.
-	RecordDerivation bool
-	TrackForest      bool
-	NoSemiNaive      bool
-	// WantProgress asks the worker to stream Progress frames before the
-	// Result.
-	WantProgress bool
-
-	Snapshot []byte
-	Deltas   [][]byte
 }
 
 // resultMsg is a finished job: the materialized instance as a wire
@@ -93,24 +64,24 @@ const (
 // Result flag bits.
 const flagTerminated = 1
 
-// mwriter builds message bodies: unsigned varints, zigzag-signed
-// varints, length-prefixed strings and blobs.
-type mwriter struct {
-	buf []byte
+// writeStats writes the full chase.Stats in field order.
+func writeStats(w *wire.Writer, s chase.Stats) {
+	for _, v := range statsFields(&s) {
+		w.Uvarint(uint64(*v))
+	}
 }
 
-func (w *mwriter) uint(v uint64)             { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *mwriter) int(v int64)               { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *mwriter) str(s string)              { w.uint(uint64(len(s))); w.buf = append(w.buf, s...) }
-func (w *mwriter) blob(b []byte)             { w.uint(uint64(len(b))); w.buf = append(w.buf, b...) }
-func (w *mwriter) byte(b byte)               { w.buf = append(w.buf, b) }
-func (w *mwriter) fp(fp compile.Fingerprint) { w.buf = append(w.buf, fp[:]...) }
-
-// stats writes the full chase.Stats in field order.
-func (w *mwriter) stats(s chase.Stats) {
-	for _, v := range statsFields(&s) {
-		w.uint(uint64(*v))
+// readStats reads what writeStats wrote.
+func readStats(r *wire.Reader) (chase.Stats, error) {
+	var s chase.Stats
+	for _, f := range statsFields(&s) {
+		v, err := r.Count("stats field")
+		if err != nil {
+			return s, err
+		}
+		*f = v
 	}
+	return s, nil
 }
 
 // statsFields enumerates the Stats fields in their one wire order.
@@ -123,319 +94,221 @@ func statsFields(s *chase.Stats) [10]*int {
 	}
 }
 
-// mreader consumes message bodies with the same defensive posture as
-// internal/wire's reader: every length is checked against the remaining
-// input before a single byte is allocated, so hostile bodies fail with
-// ErrFrame instead of panicking or ballooning.
-type mreader struct {
-	data []byte
-	pos  int
-}
-
-func (r *mreader) remaining() int { return len(r.data) - r.pos }
-
-func (r *mreader) uint(what string) (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated %s varint", ErrFrame, what)
-	}
-	r.pos += n
-	return v, nil
-}
-
-func (r *mreader) int(what string) (int64, error) {
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated %s varint", ErrFrame, what)
-	}
-	r.pos += n
-	return v, nil
-}
-
-// count reads a length/count varint bounded by the remaining input: a
-// record costs at least one byte, so a count beyond remaining() is
-// corrupt regardless of record shape.
-func (r *mreader) count(what string) (int, error) {
-	v, err := r.uint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(r.remaining()) {
-		return 0, fmt.Errorf("%w: %s count %d exceeds %d remaining bytes", ErrFrame, what, v, r.remaining())
-	}
-	return int(v), nil
-}
-
-// size reads an int-valued field that must fit a non-negative int.
-func (r *mreader) size(what string) (int, error) {
-	v, err := r.uint(what)
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: %s %d out of range", ErrFrame, what, v)
-	}
-	return int(v), nil
-}
-
-func (r *mreader) str(what string) (string, error) {
-	n, err := r.count(what + " length")
-	if err != nil {
-		return "", err
-	}
-	s := string(r.data[r.pos : r.pos+n])
-	r.pos += n
-	return s, nil
-}
-
-func (r *mreader) blob(what string) ([]byte, error) {
-	n, err := r.count(what + " length")
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, n)
-	copy(b, r.data[r.pos:r.pos+n])
-	r.pos += n
-	return b, nil
-}
-
-func (r *mreader) byte(what string) (byte, error) {
-	if r.remaining() < 1 {
-		return 0, fmt.Errorf("%w: truncated %s byte", ErrFrame, what)
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *mreader) fp() (compile.Fingerprint, error) {
+// readFingerprint reads a raw fingerprint.
+func readFingerprint(r *wire.Reader) (compile.Fingerprint, error) {
 	var fp compile.Fingerprint
-	if r.remaining() < len(fp) {
-		return fp, fmt.Errorf("%w: truncated fingerprint", ErrFrame)
-	}
-	copy(fp[:], r.data[r.pos:])
-	r.pos += len(fp)
-	return fp, nil
-}
-
-func (r *mreader) stats() (chase.Stats, error) {
-	var s chase.Stats
-	for _, f := range statsFields(&s) {
-		v, err := r.size("stats field")
-		if err != nil {
-			return s, err
-		}
-		*f = v
-	}
-	return s, nil
-}
-
-// done rejects trailing bytes: a valid body is consumed exactly, which
-// is what makes encode∘decode a fixpoint on valid frames.
-func (r *mreader) done() error {
-	if r.pos != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrFrame, r.remaining())
-	}
-	return nil
+	b, err := r.Raw(len(fp), "fingerprint")
+	copy(fp[:], b)
+	return fp, err
 }
 
 func encodeRegister(m registerMsg) []byte {
-	w := &mwriter{}
-	w.str(m.Rules)
-	w.blob(m.Bounds)
-	return w.buf
+	w := &wire.Writer{}
+	w.Str(m.Rules)
+	w.Blob(m.Bounds)
+	return w.Buf
 }
 
 func decodeRegister(body []byte) (registerMsg, error) {
-	r := &mreader{data: body}
+	r := wire.NewReader(body, ErrFrame)
 	var m registerMsg
 	var err error
-	if m.Rules, err = r.str("rules"); err != nil {
+	if m.Rules, err = r.Str("rules"); err != nil {
 		return registerMsg{}, err
 	}
-	if m.Bounds, err = r.blob("bounds"); err != nil {
+	if m.Bounds, err = r.Blob("bounds"); err != nil {
 		return registerMsg{}, err
 	}
 	if len(m.Bounds) == 0 {
 		m.Bounds = nil
 	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 func encodeRegistered(m registeredMsg) []byte {
-	w := &mwriter{}
-	w.fp(m.Fingerprint)
-	return w.buf
+	w := &wire.Writer{}
+	w.Raw(m.Fingerprint[:])
+	return w.Buf
 }
 
 func decodeRegistered(body []byte) (registeredMsg, error) {
-	r := &mreader{data: body}
-	fp, err := r.fp()
+	r := wire.NewReader(body, ErrFrame)
+	fp, err := readFingerprint(&r)
 	if err != nil {
 		return registeredMsg{}, err
 	}
-	return registeredMsg{Fingerprint: fp}, r.done()
+	return registeredMsg{Fingerprint: fp}, r.Done()
 }
 
-func encodeSubmit(m submitMsg) []byte {
-	w := &mwriter{}
-	w.str(m.Name)
-	w.str(m.Tenant)
-	w.int(int64(m.Priority))
-	w.fp(m.Fingerprint)
-	w.byte(byte(m.Variant))
-	w.uint(uint64(m.MaxAtoms))
-	w.uint(uint64(m.MaxRounds))
-	w.uint(uint64(m.Workers))
-	w.byte(byte(m.QoS.Mode))
-	w.uint(uint64(m.QoS.Deadline))
-	w.uint(uint64(m.QoS.Rounds))
+// encodeSubmit writes the at-rest part of a job. A non-nil Progress sets
+// the want-progress flag: the worker then streams Progress frames before
+// the Result.
+func encodeSubmit(j Job) []byte {
+	w := &wire.Writer{}
+	w.Str(j.Name)
+	w.Str(j.Tenant)
+	w.Varint(int64(j.Priority))
+	w.Raw(j.Fingerprint[:])
+	w.Byte(byte(j.Variant))
+	w.Uvarint(uint64(j.MaxAtoms))
+	w.Uvarint(uint64(j.MaxRounds))
+	w.Uvarint(uint64(j.Workers))
+	w.Byte(byte(j.QoS.Mode))
+	w.Uvarint(uint64(j.QoS.Deadline))
+	w.Uvarint(uint64(j.QoS.Rounds))
 	var flags byte
-	if m.QoS.Learn {
+	if j.QoS.Learn {
 		flags |= flagLearnBound
 	}
-	if m.RecordDerivation {
+	if j.RecordDerivation {
 		flags |= flagRecordDerivation
 	}
-	if m.TrackForest {
+	if j.TrackForest {
 		flags |= flagTrackForest
 	}
-	if m.NoSemiNaive {
+	if j.NoSemiNaive {
 		flags |= flagNoSemiNaive
 	}
-	if m.WantProgress {
+	if j.Progress != nil {
 		flags |= flagWantProgress
 	}
-	w.byte(flags)
-	w.blob(m.Snapshot)
-	w.uint(uint64(len(m.Deltas)))
-	for _, d := range m.Deltas {
-		w.blob(d)
+	w.Byte(flags)
+	w.Blob(j.Snapshot)
+	w.Uvarint(uint64(len(j.Deltas)))
+	for _, d := range j.Deltas {
+		w.Blob(d)
 	}
-	return w.buf
+	return w.Buf
 }
 
-func decodeSubmit(body []byte) (submitMsg, error) {
-	r := &mreader{data: body}
-	var m submitMsg
+// wantProgress is the Progress of a decoded job whose sender asked for
+// Progress frames: the worker streams them itself, and the non-nil
+// marker re-encodes to the same flag.
+func wantProgress(chase.Stats) {}
+
+func decodeSubmit(body []byte) (Job, error) {
+	r := wire.NewReader(body, ErrFrame)
+	var j Job
 	var err error
-	if m.Name, err = r.str("name"); err != nil {
-		return m, err
+	if j.Name, err = r.Str("name"); err != nil {
+		return j, err
 	}
-	if m.Tenant, err = r.str("tenant"); err != nil {
-		return m, err
+	if j.Tenant, err = r.Str("tenant"); err != nil {
+		return j, err
 	}
-	prio, err := r.int("priority")
+	prio, err := r.Varint("priority")
 	if err != nil {
-		return m, err
+		return j, err
 	}
 	if prio < math.MinInt32 || prio > math.MaxInt32 {
-		return m, fmt.Errorf("%w: priority %d out of range", ErrFrame, prio)
+		return j, fmt.Errorf("%w: priority %d out of range", ErrFrame, prio)
 	}
-	m.Priority = service.Priority(prio)
-	if m.Fingerprint, err = r.fp(); err != nil {
-		return m, err
+	j.Priority = service.Priority(prio)
+	if j.Fingerprint, err = readFingerprint(&r); err != nil {
+		return j, err
 	}
-	variant, err := r.byte("variant")
+	variant, err := r.Byte("variant")
 	if err != nil {
-		return m, err
+		return j, err
 	}
 	switch chase.Variant(variant) {
 	case chase.SemiOblivious, chase.Oblivious, chase.Restricted:
-		m.Variant = chase.Variant(variant)
+		j.Variant = chase.Variant(variant)
 	default:
-		return m, fmt.Errorf("%w: unknown chase variant %d", ErrFrame, variant)
+		return j, fmt.Errorf("%w: unknown chase variant %d", ErrFrame, variant)
 	}
-	if m.MaxAtoms, err = r.size("maxAtoms"); err != nil {
-		return m, err
+	if j.MaxAtoms, err = r.Count("maxAtoms"); err != nil {
+		return j, err
 	}
-	if m.MaxRounds, err = r.size("maxRounds"); err != nil {
-		return m, err
+	if j.MaxRounds, err = r.Count("maxRounds"); err != nil {
+		return j, err
 	}
-	if m.Workers, err = r.size("workers"); err != nil {
-		return m, err
+	if j.Workers, err = r.Count("workers"); err != nil {
+		return j, err
 	}
-	mode, err := r.byte("qos mode")
+	mode, err := r.Byte("qos mode")
 	if err != nil {
-		return m, err
+		return j, err
 	}
 	if mode > byte(qos.Anytime) {
-		return m, fmt.Errorf("%w: unknown QoS mode %d", ErrFrame, mode)
+		return j, fmt.Errorf("%w: unknown QoS mode %d", ErrFrame, mode)
 	}
-	m.QoS.Mode = qos.Mode(mode)
-	deadline, err := r.uint("qos deadline")
+	j.QoS.Mode = qos.Mode(mode)
+	deadline, err := r.Uvarint("qos deadline")
 	if err != nil {
-		return m, err
+		return j, err
 	}
 	if deadline > math.MaxInt64 {
-		return m, fmt.Errorf("%w: QoS deadline %d out of range", ErrFrame, deadline)
+		return j, fmt.Errorf("%w: QoS deadline %d out of range", ErrFrame, deadline)
 	}
-	m.QoS.Deadline = time.Duration(deadline)
-	if m.QoS.Rounds, err = r.size("qos rounds"); err != nil {
-		return m, err
+	j.QoS.Deadline = time.Duration(deadline)
+	if j.QoS.Rounds, err = r.Count("qos rounds"); err != nil {
+		return j, err
 	}
-	flags, err := r.byte("flags")
+	flags, err := r.Byte("flags")
 	if err != nil {
-		return m, err
+		return j, err
 	}
 	if flags&^(flagRecordDerivation|flagTrackForest|flagNoSemiNaive|flagWantProgress|flagLearnBound) != 0 {
-		return m, fmt.Errorf("%w: unknown submit flags %#x", ErrFrame, flags)
+		return j, fmt.Errorf("%w: unknown submit flags %#x", ErrFrame, flags)
 	}
-	m.QoS.Learn = flags&flagLearnBound != 0
-	m.RecordDerivation = flags&flagRecordDerivation != 0
-	m.TrackForest = flags&flagTrackForest != 0
-	m.NoSemiNaive = flags&flagNoSemiNaive != 0
-	m.WantProgress = flags&flagWantProgress != 0
-	if m.Snapshot, err = r.blob("snapshot"); err != nil {
-		return m, err
+	j.QoS.Learn = flags&flagLearnBound != 0
+	j.RecordDerivation = flags&flagRecordDerivation != 0
+	j.TrackForest = flags&flagTrackForest != 0
+	j.NoSemiNaive = flags&flagNoSemiNaive != 0
+	if flags&flagWantProgress != 0 {
+		j.Progress = wantProgress
 	}
-	n, err := r.count("delta")
+	if j.Snapshot, err = r.Blob("snapshot"); err != nil {
+		return j, err
+	}
+	n, err := r.Records("delta count")
 	if err != nil {
-		return m, err
+		return j, err
 	}
 	for i := 0; i < n; i++ {
-		d, err := r.blob("delta")
+		d, err := r.Blob("delta")
 		if err != nil {
-			return m, err
+			return j, err
 		}
-		m.Deltas = append(m.Deltas, d)
+		j.Deltas = append(j.Deltas, d)
 	}
-	return m, r.done()
+	return j, r.Done()
 }
 
 func encodeProgress(s chase.Stats) []byte {
-	w := &mwriter{}
-	w.stats(s)
-	return w.buf
+	w := &wire.Writer{}
+	writeStats(w, s)
+	return w.Buf
 }
 
 func decodeProgress(body []byte) (chase.Stats, error) {
-	r := &mreader{data: body}
-	s, err := r.stats()
+	r := wire.NewReader(body, ErrFrame)
+	s, err := readStats(&r)
 	if err != nil {
 		return s, err
 	}
-	return s, r.done()
+	return s, r.Done()
 }
 
 func encodeResult(m resultMsg) []byte {
-	w := &mwriter{}
+	w := &wire.Writer{}
 	var flags byte
 	if m.Terminated {
 		flags |= flagTerminated
 	}
-	w.byte(flags)
-	w.byte(byte(m.Source))
-	w.stats(m.Stats)
-	w.blob(m.Snapshot)
-	w.str(m.Derivation)
-	return w.buf
+	w.Byte(flags)
+	w.Byte(byte(m.Source))
+	writeStats(w, m.Stats)
+	w.Blob(m.Snapshot)
+	w.Str(m.Derivation)
+	return w.Buf
 }
 
 func decodeResult(body []byte) (resultMsg, error) {
-	r := &mreader{data: body}
+	r := wire.NewReader(body, ErrFrame)
 	var m resultMsg
-	flags, err := r.byte("flags")
+	flags, err := r.Byte("flags")
 	if err != nil {
 		return m, err
 	}
@@ -443,7 +316,7 @@ func decodeResult(body []byte) (resultMsg, error) {
 		return m, fmt.Errorf("%w: unknown result flags %#x", ErrFrame, flags)
 	}
 	m.Terminated = flags&flagTerminated != 0
-	source, err := r.byte("budget source")
+	source, err := r.Byte("budget source")
 	if err != nil {
 		return m, err
 	}
@@ -451,34 +324,34 @@ func decodeResult(body []byte) (resultMsg, error) {
 		return m, fmt.Errorf("%w: unknown budget source %d", ErrFrame, source)
 	}
 	m.Source = qos.Source(source)
-	if m.Stats, err = r.stats(); err != nil {
+	if m.Stats, err = readStats(&r); err != nil {
 		return m, err
 	}
-	if m.Snapshot, err = r.blob("snapshot"); err != nil {
+	if m.Snapshot, err = r.Blob("snapshot"); err != nil {
 		return m, err
 	}
-	if m.Derivation, err = r.str("derivation"); err != nil {
+	if m.Derivation, err = r.Str("derivation"); err != nil {
 		return m, err
 	}
-	return m, r.done()
+	return m, r.Done()
 }
 
 func encodeError(m errorMsg) []byte {
-	w := &mwriter{}
-	w.str(m.Code)
-	w.str(m.Message)
-	return w.buf
+	w := &wire.Writer{}
+	w.Str(m.Code)
+	w.Str(m.Message)
+	return w.Buf
 }
 
 func decodeError(body []byte) (errorMsg, error) {
-	r := &mreader{data: body}
+	r := wire.NewReader(body, ErrFrame)
 	var m errorMsg
 	var err error
-	if m.Code, err = r.str("code"); err != nil {
+	if m.Code, err = r.Str("code"); err != nil {
 		return m, err
 	}
-	if m.Message, err = r.str("message"); err != nil {
+	if m.Message, err = r.Str("message"); err != nil {
 		return m, err
 	}
-	return m, r.done()
+	return m, r.Done()
 }

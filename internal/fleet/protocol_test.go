@@ -17,7 +17,7 @@ import (
 	"repro/internal/wire"
 )
 
-// TestFrameDecodeAdversarial drives DecodeFrame through hostile inputs:
+// TestFrameDecodeAdversarial drives decodeFrame through hostile inputs:
 // every failure must be a typed ErrFrame, never a panic or a silent
 // wrong answer.
 func TestFrameDecodeAdversarial(t *testing.T) {
@@ -39,23 +39,23 @@ func TestFrameDecodeAdversarial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, _, err := DecodeFrame(tc.data); !errors.Is(err, tc.want) {
-				t.Fatalf("DecodeFrame(%q) err = %v, want %v", tc.data, err, tc.want)
+			if _, _, _, err := decodeFrame(tc.data); !errors.Is(err, tc.want) {
+				t.Fatalf("decodeFrame(%q) err = %v, want %v", tc.data, err, tc.want)
 			}
 		})
 	}
 
 	// A valid frame followed by trailing bytes hands back the rest.
-	kind, body, rest, err := DecodeFrame(append(bytes.Clone(valid), 0xFF))
+	kind, body, rest, err := decodeFrame(append(bytes.Clone(valid), 0xFF))
 	if err != nil || kind != kindError || len(rest) != 1 {
-		t.Fatalf("DecodeFrame with rest = (%c, %d, %d, %v)", kind, len(body), len(rest), err)
+		t.Fatalf("decodeFrame with rest = (%c, %d, %d, %v)", kind, len(body), len(rest), err)
 	}
 }
 
 // TestMessageDecodeAdversarial: message bodies reject truncation,
 // trailing garbage, unknown flag bits, and out-of-range enums.
 func TestMessageDecodeAdversarial(t *testing.T) {
-	sub := encodeSubmit(submitMsg{Name: "n", Tenant: "t", Snapshot: []byte("s"), Deltas: [][]byte{[]byte("d")}})
+	sub := encodeSubmit(Job{Name: "n", Tenant: "t", Snapshot: []byte("s"), Deltas: [][]byte{[]byte("d")}})
 	if _, err := decodeSubmit(sub[:len(sub)-1]); err == nil {
 		t.Fatal("truncated submit decoded")
 	}
@@ -63,44 +63,44 @@ func TestMessageDecodeAdversarial(t *testing.T) {
 		t.Fatal("submit with trailing bytes decoded")
 	}
 	// Rebuild with a hostile flags value through the writer.
-	var w mwriter
-	w.str("n")
-	w.str("t")
-	w.int(0)
-	w.fp(compile.Fingerprint{})
-	w.byte(0)      // variant
-	w.uint(0)      // maxAtoms
-	w.uint(0)      // maxRounds
-	w.uint(0)      // workers
-	w.byte(0)      // qos mode
-	w.uint(0)      // qos deadline
-	w.uint(0)      // qos rounds
-	w.byte(1 << 7) // unknown flag bit
-	w.blob(nil)
-	w.uint(0)
-	if _, err := decodeSubmit(w.buf); err == nil {
+	var w wire.Writer
+	w.Str("n")
+	w.Str("t")
+	w.Varint(0)
+	w.Raw(new(compile.Fingerprint)[:])
+	w.Byte(0)      // variant
+	w.Uvarint(0)   // maxAtoms
+	w.Uvarint(0)   // maxRounds
+	w.Uvarint(0)   // workers
+	w.Byte(0)      // qos mode
+	w.Uvarint(0)   // qos deadline
+	w.Uvarint(0)   // qos rounds
+	w.Byte(1 << 7) // unknown flag bit
+	w.Blob(nil)
+	w.Uvarint(0)
+	if _, err := decodeSubmit(w.Buf); err == nil {
 		t.Fatal("submit with unknown flag bit decoded")
 	}
-	var w2 mwriter
-	w2.str("n")
-	w2.str("t")
-	w2.int(0)
-	w2.fp(compile.Fingerprint{})
-	w2.byte(9) // unknown variant
-	if _, err := decodeSubmit(w2.buf); err == nil {
+	var w2 wire.Writer
+	w2.Str("n")
+	w2.Str("t")
+	w2.Varint(0)
+	w2.Raw(new(compile.Fingerprint)[:])
+	w2.Byte(9) // unknown variant
+	if _, err := decodeSubmit(w2.Buf); err == nil {
 		t.Fatal("submit with unknown variant decoded")
 	}
-	var w3 mwriter
-	w3.str("n")
-	w3.str("t")
-	w3.int(0)
-	w3.fp(compile.Fingerprint{})
-	w3.byte(0) // variant
-	w3.uint(0) // maxAtoms
-	w3.uint(0) // maxRounds
-	w3.uint(0) // workers
-	w3.byte(9) // unknown qos mode
-	if _, err := decodeSubmit(w3.buf); err == nil {
+	var w3 wire.Writer
+	w3.Str("n")
+	w3.Str("t")
+	w3.Varint(0)
+	w3.Raw(new(compile.Fingerprint)[:])
+	w3.Byte(0)    // variant
+	w3.Uvarint(0) // maxAtoms
+	w3.Uvarint(0) // maxRounds
+	w3.Uvarint(0) // workers
+	w3.Byte(9)    // unknown qos mode
+	if _, err := decodeSubmit(w3.Buf); err == nil {
 		t.Fatal("submit with unknown QoS mode decoded")
 	}
 	if _, err := decodeResult([]byte{0xFF, 0x01}); err == nil {

@@ -179,7 +179,7 @@ func (s *Server) serveSubmit(conn net.Conn, body []byte) error {
 	if err != nil {
 		return writeServiceError(conn, err)
 	}
-	if m.WantProgress {
+	if m.Progress != nil {
 		// The ticket's latest-wins stream closes just before the result
 		// is delivered, so this drains without racing Wait.
 		for st := range tk.Progress() {

@@ -1,13 +1,12 @@
 package qos
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/chase"
 	"repro/internal/compile"
+	"repro/internal/wire"
 )
 
 // ErrCorrupt reports a learned-bound blob that is not a canonical
@@ -31,38 +30,31 @@ func EncodeBounds(bounds []compile.VariantBound) []byte {
 	if len(bounds) == 0 {
 		return nil
 	}
-	buf := binary.AppendUvarint(nil, uint64(len(bounds)))
+	w := &wire.Writer{}
+	w.Uvarint(uint64(len(bounds)))
 	for _, vb := range bounds {
-		buf = append(buf, byte(vb.Variant))
-		buf = binary.AppendUvarint(buf, uint64(vb.Bound.Rounds))
-		buf = binary.AppendUvarint(buf, uint64(vb.Bound.Atoms))
+		w.Byte(byte(vb.Variant))
+		w.Uvarint(uint64(vb.Bound.Rounds))
+		w.Uvarint(uint64(vb.Bound.Atoms))
 		if vb.Bound.Observed {
-			buf = append(buf, 1)
+			w.Byte(1)
 		} else {
-			buf = append(buf, 0)
+			w.Byte(0)
 		}
 	}
-	return buf
+	return w.Buf
 }
 
 // DecodeBounds parses an EncodeBounds blob, rejecting non-canonical
 // input: unknown variants, out-of-order or duplicate records, counter
-// overflow, truncation, and trailing bytes all fail with ErrCorrupt. An
-// empty blob decodes to nil.
+// overflow, overlong varints, truncation, and trailing bytes all fail
+// with ErrCorrupt. An empty blob decodes to nil.
 func DecodeBounds(data []byte) ([]compile.VariantBound, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	pos := 0
-	uvarint := func(what string) (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-		}
-		pos += n
-		return v, nil
-	}
-	count, err := uvarint("count")
+	r := wire.NewReader(data, ErrCorrupt)
+	count, err := r.Count("count")
 	if err != nil {
 		return nil, err
 	}
@@ -71,12 +63,12 @@ func DecodeBounds(data []byte) ([]compile.VariantBound, error) {
 	}
 	out := make([]compile.VariantBound, 0, count)
 	prev := chase.Variant(-1)
-	for i := uint64(0); i < count; i++ {
-		if pos >= len(data) {
-			return nil, fmt.Errorf("%w: truncated record", ErrCorrupt)
+	for range count {
+		b, err := r.Byte("record")
+		if err != nil {
+			return nil, err
 		}
-		v := chase.Variant(data[pos])
-		pos++
+		v := chase.Variant(b)
 		if v < chase.SemiOblivious || v > chase.Restricted {
 			return nil, fmt.Errorf("%w: unknown variant %d", ErrCorrupt, v)
 		}
@@ -84,29 +76,28 @@ func DecodeBounds(data []byte) ([]compile.VariantBound, error) {
 			return nil, fmt.Errorf("%w: variants out of order", ErrCorrupt)
 		}
 		prev = v
-		rounds, err := uvarint("rounds")
+		rounds, err := r.Count("rounds")
 		if err != nil {
 			return nil, err
 		}
-		atoms, err := uvarint("atoms")
+		atoms, err := r.Count("atoms")
 		if err != nil {
 			return nil, err
 		}
-		if rounds > math.MaxInt32 || atoms > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: counter overflow", ErrCorrupt)
+		observed, err := r.Byte("observed flag")
+		if err != nil {
+			return nil, err
 		}
-		if pos >= len(data) || data[pos] > 1 {
-			return nil, fmt.Errorf("%w: bad observed flag", ErrCorrupt)
+		if observed > 1 {
+			return nil, fmt.Errorf("%w: bad observed flag %d", ErrCorrupt, observed)
 		}
-		observed := data[pos] == 1
-		pos++
 		out = append(out, compile.VariantBound{
 			Variant: v,
-			Bound:   compile.LearnedBound{Rounds: int(rounds), Atoms: int(atoms), Observed: observed},
+			Bound:   compile.LearnedBound{Rounds: rounds, Atoms: atoms, Observed: observed == 1},
 		})
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -245,12 +245,40 @@ func TestDecodeBoundsRejectsCorrupt(t *testing.T) {
 		"missing observed":  one[:len(one)-1],
 		"bad observed":      append(append([]byte{}, one[:len(one)-1]...), 0x02),
 		"trailing bytes":    append(append([]byte{}, one...), 0x00),
+		"overlong count":    {0x81, 0x00, 0x00, 0x03, 0x28, 0x01},
 	}
 	for name, blob := range cases {
 		if _, err := DecodeBounds(blob); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeBounds(%x) = %v, want ErrCorrupt", name, blob, err)
 		}
 	}
+}
+
+// FuzzBoundsRoundTrip: any blob DecodeBounds accepts re-encodes to the
+// same bytes (the canonical form the fleet's registration framing relies
+// on), and every rejection is ErrCorrupt.
+func FuzzBoundsRoundTrip(f *testing.F) {
+	f.Add(EncodeBounds([]compile.VariantBound{
+		{Variant: chase.SemiOblivious, Bound: compile.LearnedBound{Rounds: 5, Atoms: 40, Observed: true}},
+		{Variant: chase.Oblivious, Bound: compile.LearnedBound{Rounds: 300, Atoms: 1 << 20}},
+		{Variant: chase.Restricted, Bound: compile.LearnedBound{Rounds: 4, Atoms: 31, Observed: true}},
+	}))
+	f.Add(EncodeBounds([]compile.VariantBound{
+		{Variant: chase.Restricted, Bound: compile.LearnedBound{Rounds: 1<<31 - 1, Atoms: 0}},
+	}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		bounds, err := DecodeBounds(blob)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeBounds(%x) failed with untyped error: %v", blob, err)
+			}
+			return
+		}
+		if again := EncodeBounds(bounds); string(again) != string(blob) {
+			t.Fatalf("encode(decode(b)) changed the blob: %x vs %x", again, blob)
+		}
+	})
 }
 
 // TestRecorder: a terminated reference run stores Observed=true with the

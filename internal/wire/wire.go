@@ -41,7 +41,12 @@
 // # Wire format
 //
 // All integers are unsigned varints (encoding/binary), except fresh-term
-// values, which are zigzag-signed; strings are length-prefixed. Layout:
+// values, which are zigzag-signed; strings are length-prefixed. Varints
+// are canonical: the minimal-length encoding of their value, so a
+// multi-byte varint never ends in a zero byte, and decoders reject
+// overlong ones. Writer and Reader implement these primitives for every
+// binary format in the system, and Writer.Term/Reader.Term are the term
+// manifest records below. Layout:
 //
 //	magic "CW", kind byte ('S' snapshot, 'D' delta), version varint (1)
 //	delta only: base varint (required instance length before applying)
@@ -56,10 +61,8 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/logic"
 )
@@ -96,19 +99,6 @@ func (o opaque) Key() string { return o.key }
 
 func (o opaque) String() string { return o.str }
 
-// ForeignTerm reconstructs a foreign term kind from its wire identity —
-// the (key, rendering) pair an encoder emits under the 'o' tag. It
-// rejects keys in the built-in kinds' key spaces for the same reason the
-// decoder does: interning them as foreign would mint a second symbol id
-// for an existing identity. internal/checkpoint uses it to decode the
-// fired-trigger term manifest, which mirrors this package's tags.
-func ForeignTerm(key, rendering string) (logic.Term, error) {
-	if builtinKeyPrefix(key) {
-		return nil, fmt.Errorf("%w: foreign term with built-in identity key %q", ErrCorrupt, key)
-	}
-	return opaque{key: key, str: rendering}, nil
-}
-
 // builtinKeyPrefix reports whether the key belongs to one of logic's
 // built-in term kinds. Encoders never emit such keys under the foreign
 // tag; decoders reject them, because interning them as foreign would
@@ -128,11 +118,11 @@ func builtinKeyPrefix(key string) bool {
 // of the instance's ordered atom sequence (no process-local state leaks
 // in), so equal instances encode byte-identically across processes.
 func EncodeSnapshot(in *logic.Instance) []byte {
-	e := &encoder{buf: make([]byte, 0, 64+16*in.Len())}
-	e.header(kindSnapshot)
-	e.atoms(in.Atoms())
-	meterEncoded(len(e.buf))
-	return e.buf
+	w := &Writer{Buf: make([]byte, 0, 64+16*in.Len())}
+	writeHeader(w, kindSnapshot)
+	writeAtoms(w, in.Atoms())
+	meterEncoded(len(w.Buf))
+	return w.Buf
 }
 
 // EncodeDelta encodes the atoms with insertion sequence >= from — one
@@ -146,35 +136,22 @@ func EncodeDelta(in *logic.Instance, from int) []byte {
 	if from > len(all) {
 		from = len(all)
 	}
-	e := &encoder{buf: make([]byte, 0, 64+16*(len(all)-from))}
-	e.header(kindDelta)
-	e.uint(uint64(from))
-	e.atoms(all[from:])
-	meterEncoded(len(e.buf))
-	return e.buf
+	w := &Writer{Buf: make([]byte, 0, 64+16*(len(all)-from))}
+	writeHeader(w, kindDelta)
+	w.Uvarint(uint64(from))
+	writeAtoms(w, all[from:])
+	meterEncoded(len(w.Buf))
+	return w.Buf
 }
 
-type encoder struct {
-	buf []byte
+func writeHeader(w *Writer, kind byte) {
+	w.Buf = append(w.Buf, 'C', 'W', kind)
+	w.Uvarint(Version)
 }
 
-func (e *encoder) header(kind byte) {
-	e.buf = append(e.buf, 'C', 'W', kind)
-	e.uint(Version)
-}
-
-func (e *encoder) uint(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-
-func (e *encoder) str(s string) {
-	e.uint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// atoms writes the symbol manifest (first-occurrence order) followed by
-// the atom section.
-func (e *encoder) atoms(atoms []*logic.Atom) {
+// writeAtoms writes the symbol manifest (first-occurrence order) followed
+// by the atom section.
+func writeAtoms(w *Writer, atoms []*logic.Atom) {
 	var (
 		preds     []logic.Predicate
 		predIdx   = make(map[logic.Predicate]int)
@@ -204,41 +181,20 @@ func (e *encoder) atoms(atoms []*logic.Atom) {
 		}
 		atomTerms[ai] = idx
 	}
-	e.uint(uint64(len(preds)))
+	w.Uvarint(uint64(len(preds)))
 	for _, p := range preds {
-		e.str(p.Name)
-		e.uint(uint64(p.Arity))
+		w.Str(p.Name)
+		w.Uvarint(uint64(p.Arity))
 	}
-	e.uint(uint64(len(terms)))
+	w.Uvarint(uint64(len(terms)))
 	for _, t := range terms {
-		switch x := t.(type) {
-		case logic.Constant:
-			e.buf = append(e.buf, 'c')
-			e.str(string(x))
-		case logic.Fresh:
-			e.buf = append(e.buf, 'f')
-			e.buf = binary.AppendVarint(e.buf, int64(x))
-		case *logic.Null:
-			e.buf = append(e.buf, 'n')
-			e.uint(uint64(x.ID()))
-			e.uint(uint64(x.Depth()))
-		case logic.Variable:
-			// Instances are normally ground, but the codec is total: a
-			// variable must not fall into the foreign branch, whose
-			// built-in "v\x00" key the decoder categorically rejects.
-			e.buf = append(e.buf, 'v')
-			e.str(string(x))
-		default:
-			e.buf = append(e.buf, 'o')
-			e.str(t.Key())
-			e.str(t.String())
-		}
+		w.Term(t)
 	}
-	e.uint(uint64(len(atoms)))
+	w.Uvarint(uint64(len(atoms)))
 	for ai := range atoms {
-		e.uint(uint64(atomPreds[ai]))
+		w.Uvarint(uint64(atomPreds[ai]))
 		for _, ti := range atomTerms[ai] {
-			e.uint(uint64(ti))
+			w.Uvarint(uint64(ti))
 		}
 	}
 }
@@ -303,12 +259,12 @@ func (d *Decoder) Snapshot(data []byte) (*logic.Instance, error) {
 	if d.inst != nil {
 		return nil, d.poison(fmt.Errorf("%w: decoder already holds a snapshot", ErrCorrupt))
 	}
-	r := &reader{data: data}
-	if err := r.header(kindSnapshot); err != nil {
+	r := NewReader(data, ErrCorrupt)
+	if err := readHeader(&r, kindSnapshot); err != nil {
 		return nil, d.poison(err)
 	}
 	in := logic.NewInstance()
-	if err := d.section(r, in); err != nil {
+	if err := d.section(&r, in); err != nil {
 		return nil, d.poison(err)
 	}
 	meterDecoded(len(data))
@@ -331,11 +287,11 @@ func (d *Decoder) Apply(data []byte) (int, error) {
 	if d.inst == nil {
 		return 0, d.poison(fmt.Errorf("%w: delta applied before any snapshot", ErrCorrupt))
 	}
-	r := &reader{data: data}
-	if err := r.header(kindDelta); err != nil {
+	r := NewReader(data, ErrCorrupt)
+	if err := readHeader(&r, kindDelta); err != nil {
 		return 0, d.poison(err)
 	}
-	base, err := r.count("delta base")
+	base, err := r.Count("delta base")
 	if err != nil {
 		return 0, d.poison(err)
 	}
@@ -343,7 +299,7 @@ func (d *Decoder) Apply(data []byte) (int, error) {
 		return 0, d.poison(fmt.Errorf("%w: delta base %d, instance holds %d atoms", ErrDeltaMismatch, base, d.inst.Len()))
 	}
 	before := d.inst.Len()
-	if err := d.section(r, d.inst); err != nil {
+	if err := d.section(&r, d.inst); err != nil {
 		return 0, d.poison(err)
 	}
 	meterDecoded(len(data))
@@ -356,90 +312,55 @@ func DecodeSnapshot(data []byte) (*logic.Instance, error) {
 	return NewDecoder().Snapshot(data)
 }
 
-// termRec is one parsed (not yet materialized) manifest term record.
-type termRec struct {
-	tag       byte
-	str, str2 string
-	a, b      int
-}
-
 // section decodes one manifest+atoms section into in. Decoding is
 // parse-then-materialize: the whole encoding is parsed and validated —
 // index ranges, tags, trailing bytes — before a single null is interned
 // or atom added, so corrupt input leaves both the stream's instance and
 // its null factory exactly as they were (Apply's atomicity rests on
 // this).
-func (d *Decoder) section(r *reader, in *logic.Instance) error {
-	npreds, err := r.records("predicate count")
+func (d *Decoder) section(r *Reader, in *logic.Instance) error {
+	npreds, err := r.Records("predicate count")
 	if err != nil {
 		return err
 	}
 	preds := make([]logic.Predicate, npreds)
 	for i := range preds {
-		name, err := r.str("predicate name")
+		name, err := r.Str("predicate name")
 		if err != nil {
 			return err
 		}
-		arity, err := r.count("predicate arity")
+		arity, err := r.Count("predicate arity")
 		if err != nil {
 			return err
 		}
 		preds[i] = logic.Predicate{Name: name, Arity: arity}
 	}
-	nterms, err := r.records("term count")
+	nterms, err := r.Records("term count")
 	if err != nil {
 		return err
 	}
-	recs := make([]termRec, nterms)
-	for i := range recs {
-		tag, err := r.byte("term tag")
-		if err != nil {
+	// Null records are only noted here; they are interned through the
+	// stream's factory once the section has validated. Sized for the
+	// worst case (every term a null), which is bounded by the input.
+	type pendingNull struct{ at, id, depth int }
+	nulls := make([]pendingNull, 0, nterms)
+	terms := make([]logic.Term, nterms)
+	for i := range terms {
+		if terms[i], err = r.Term(func(id, depth int) (logic.Term, error) {
+			nulls = append(nulls, pendingNull{i, id, depth})
+			return nil, nil
+		}); err != nil {
 			return err
 		}
-		rec := termRec{tag: tag}
-		switch tag {
-		case 'c':
-			if rec.str, err = r.str("constant"); err != nil {
-				return err
-			}
-		case 'f':
-			if rec.a, err = r.int("fresh value"); err != nil {
-				return err
-			}
-		case 'n':
-			if rec.a, err = r.count("null id"); err != nil {
-				return err
-			}
-			if rec.b, err = r.count("null depth"); err != nil {
-				return err
-			}
-		case 'v':
-			if rec.str, err = r.str("variable"); err != nil {
-				return err
-			}
-		case 'o':
-			if rec.str, err = r.str("foreign key"); err != nil {
-				return err
-			}
-			if rec.str2, err = r.str("foreign rendering"); err != nil {
-				return err
-			}
-			if builtinKeyPrefix(rec.str) {
-				return fmt.Errorf("%w: foreign term with built-in identity key %q", ErrCorrupt, rec.str)
-			}
-		default:
-			return fmt.Errorf("%w: unknown term tag %q", ErrCorrupt, tag)
-		}
-		recs[i] = rec
 	}
-	natoms, err := r.records("atom count")
+	natoms, err := r.Records("atom count")
 	if err != nil {
 		return err
 	}
 	atomPreds := make([]int, natoms)
 	atomArgs := make([][]int, natoms)
 	for ai := 0; ai < natoms; ai++ {
-		pi, err := r.count("atom predicate index")
+		pi, err := r.Count("atom predicate index")
 		if err != nil {
 			return err
 		}
@@ -447,43 +368,31 @@ func (d *Decoder) section(r *reader, in *logic.Instance) error {
 			return fmt.Errorf("%w: atom %d references predicate %d of %d", ErrCorrupt, ai, pi, len(preds))
 		}
 		p := preds[pi]
-		if p.Arity > len(r.data)-r.pos {
+		if p.Arity > r.remaining() {
 			// Every argument costs at least one byte; reject before the
 			// argument slice is even allocated.
 			return fmt.Errorf("%w: truncated atom %d", ErrCorrupt, ai)
 		}
 		idx := make([]int, p.Arity)
 		for i := range idx {
-			ti, err := r.count("atom term index")
+			ti, err := r.Count("atom term index")
 			if err != nil {
 				return err
 			}
-			if ti >= len(recs) {
-				return fmt.Errorf("%w: atom %d references term %d of %d", ErrCorrupt, ai, ti, len(recs))
+			if ti >= len(terms) {
+				return fmt.Errorf("%w: atom %d references term %d of %d", ErrCorrupt, ai, ti, len(terms))
 			}
 			idx[i] = ti
 		}
 		atomPreds[ai] = pi
 		atomArgs[ai] = idx
 	}
-	if r.pos != len(r.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.data)-r.pos)
+	if err := r.Done(); err != nil {
+		return err
 	}
 	// Fully validated: materialize. Nothing below can fail.
-	terms := make([]logic.Term, len(recs))
-	for i, rec := range recs {
-		switch rec.tag {
-		case 'c':
-			terms[i] = logic.Constant(rec.str)
-		case 'f':
-			terms[i] = logic.Fresh(rec.a)
-		case 'n':
-			terms[i] = d.nulls.NullAt(rec.a, rec.b)
-		case 'v':
-			terms[i] = logic.Variable(rec.str)
-		default:
-			terms[i] = opaque{key: rec.str, str: rec.str2}
-		}
+	for _, n := range nulls {
+		terms[n.at] = d.nulls.NullAt(n.id, n.depth)
 	}
 	for ai := range atomPreds {
 		args := make([]logic.Term, len(atomArgs[ai]))
@@ -495,21 +404,20 @@ func (d *Decoder) section(r *reader, in *logic.Instance) error {
 	return nil
 }
 
-// reader is a bounds-checked cursor over one encoding.
-type reader struct {
-	data []byte
-	pos  int
-}
-
-func (r *reader) header(kind byte) error {
-	if len(r.data) < 3 || r.data[0] != 'C' || r.data[1] != 'W' {
+// readHeader checks the magic, kind, and version prelude.
+func readHeader(r *Reader, kind byte) error {
+	magic, err := r.Raw(2, "magic")
+	if err != nil || magic[0] != 'C' || magic[1] != 'W' {
 		return fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if r.data[2] != kind {
-		return fmt.Errorf("%w: kind %q, want %q", ErrCorrupt, r.data[2], kind)
+	k, err := r.Byte("kind")
+	if err != nil {
+		return err
 	}
-	r.pos = 3
-	v, err := r.count("version")
+	if k != kind {
+		return fmt.Errorf("%w: kind %q, want %q", ErrCorrupt, k, kind)
+	}
+	v, err := r.Count("version")
 	if err != nil {
 		return err
 	}
@@ -517,61 +425,4 @@ func (r *reader) header(kind byte) error {
 		return fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, Version)
 	}
 	return nil
-}
-
-func (r *reader) byte(what string) (byte, error) {
-	if r.pos >= len(r.data) {
-		return 0, fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b, nil
-}
-
-// count reads an unsigned varint constrained to a sane int range; every
-// count, index, and id in the format goes through it, which bounds what
-// hostile input can make the decoder allocate.
-func (r *reader) count(what string) (int, error) {
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-	}
-	r.pos += n
-	return int(v), nil
-}
-
-// records is count for section sizes: every record costs at least one
-// byte, so a count larger than the remaining input is corrupt — rejected
-// here, before any count-sized allocation happens.
-func (r *reader) records(what string) (int, error) {
-	n, err := r.count(what)
-	if err != nil {
-		return 0, err
-	}
-	if n > len(r.data)-r.pos {
-		return 0, fmt.Errorf("%w: %s %d exceeds remaining input", ErrCorrupt, what, n)
-	}
-	return n, nil
-}
-
-func (r *reader) int(what string) (int, error) {
-	v, n := binary.Varint(r.data[r.pos:])
-	if n <= 0 || v > math.MaxInt32 || v < math.MinInt32 {
-		return 0, fmt.Errorf("%w: bad %s varint", ErrCorrupt, what)
-	}
-	r.pos += n
-	return int(v), nil
-}
-
-func (r *reader) str(what string) (string, error) {
-	n, err := r.count(what + " length")
-	if err != nil {
-		return "", err
-	}
-	if r.pos+n > len(r.data) {
-		return "", fmt.Errorf("%w: truncated %s", ErrCorrupt, what)
-	}
-	s := string(r.data[r.pos : r.pos+n])
-	r.pos += n
-	return s, nil
 }

@@ -406,17 +406,17 @@ func TestDecodeErrors(t *testing.T) {
 // foreignWithKey hand-assembles a snapshot whose single manifest term is
 // a foreign record carrying the given identity key.
 func foreignWithKey(key string) []byte {
-	e := &encoder{}
-	e.header(kindSnapshot)
-	e.uint(1) // one predicate
-	e.str("p")
-	e.uint(1) // arity
-	e.uint(1) // one term
-	e.buf = append(e.buf, 'o')
-	e.str(key)
-	e.str("x")
-	e.uint(1) // one atom
-	e.uint(0)
-	e.uint(0)
-	return e.buf
+	w := &Writer{}
+	writeHeader(w, kindSnapshot)
+	w.Uvarint(1) // one predicate
+	w.Str("p")
+	w.Uvarint(1) // arity
+	w.Uvarint(1) // one term
+	w.Byte('o')
+	w.Str(key)
+	w.Str("x")
+	w.Uvarint(1) // one atom
+	w.Uvarint(0)
+	w.Uvarint(0)
+	return w.Buf
 }
