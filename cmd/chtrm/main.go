@@ -131,7 +131,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	req.Workers = cli.Workers(*workers)
 	if *stream {
-		req.Progress = cli.ProgressPrinter(stderr, "chtrm")
+		req.Observer = cli.ProgressPrinter(stderr, "chtrm")
 	}
 
 	rules := req.Ontology.Set

@@ -155,8 +155,10 @@
 // per-job TraceSink emitting JSON-line spans ordered by (job index,
 // seq), and an HTTP Handler serving /healthz, /metrics (Prometheus
 // text), and /metrics.json. The layers feed it through seams that keep
-// the leaf packages free of telemetry imports: chase.Observer sees
-// round boundaries, wire.Meter sees codec bytes, and a snapshot-time
+// the leaf packages free of telemetry imports: chase.Observer, the
+// engine's one round-boundary hook, sees round boundaries (and also
+// feeds ticket progress streams, learned bounds, and the CLIs' -stream
+// lines), wire.Meter sees codec bytes, and a snapshot-time
 // collector bridges compile.Stats. Telemetry is opt-in via
 // Config.Telemetry and free when off — every instrumentation site is a
 // nil check, and CI pins the disabled path's allocation profile

@@ -1,22 +1,26 @@
 package chase
 
-// Observer is the engine's telemetry seam: a passive listener invoked at
-// the same round barrier as Options.Progress and once at run end. It
-// exists so the serving layers can meter rounds, derived atoms, and
-// per-round trace spans without the engine knowing anything about
-// metrics — the engine stays telemetry-agnostic, and internal/runtime
-// adapts an Observer onto internal/telemetry.
+// Observer is the engine's only round-boundary callback: a passive
+// listener invoked at every round barrier and once at run end. Serving
+// layers stream progress, meter rounds and derived atoms, record learned
+// bounds, and take per-round trace spans through it without the engine
+// knowing anything about them — internal/runtime adapts an Observer onto
+// its ticket streams and internal/telemetry.
 //
 // Contract: both methods are called inline from the engine goroutine
-// (never concurrently), must not block, and must not mutate anything
-// the run depends on. Observation never reorders the chase — every
-// byte-identity suite runs unchanged with and without an Observer. The
-// nil Observer is the fast path: a disabled run pays one nil check per
-// round and nothing else.
+// (never concurrently), between one round's apply phase and the next
+// round's collection, so an observer that blocks stalls the run. Direct
+// console diagnostics (chtrm's -stream probe) accept that; the streaming
+// scheduler decouples its consumers through per-job latest-wins channels
+// so a slow consumer throttles nothing. An observer must not mutate
+// anything the run depends on: observation never reorders the chase, and
+// every byte-identity suite runs unchanged with and without one. The nil
+// Observer is the fast path: a disabled run pays one nil check per round
+// and nothing else.
 type Observer interface {
 	// ObserveRound is invoked at every round boundary — after the round's
-	// apply phase, right after Options.Progress — with the run's
-	// statistics so far.
+	// apply phase, the final round included — with the run's statistics
+	// so far.
 	ObserveRound(Stats)
 	// ObserveDone is invoked exactly once, after the final round (or the
 	// budget/interrupt stop), with the run's final statistics and whether
@@ -24,24 +28,36 @@ type Observer interface {
 	ObserveDone(Stats, bool)
 }
 
+// RoundFunc is the Observer of callers that only want rounds: it is
+// called at every round boundary, and its ObserveDone does nothing.
+type RoundFunc func(Stats)
+
+// ObserveRound calls f.
+func (f RoundFunc) ObserveRound(s Stats) { f(s) }
+
+// ObserveDone does nothing.
+func (RoundFunc) ObserveDone(Stats, bool) {}
+
 // MultiObserver fans one run's observations out to several observers in
 // order. Nil entries are skipped; a nil or empty list yields nil (the
-// disabled fast path).
+// disabled fast path), and a single live observer is returned as is.
 func MultiObserver(obs ...Observer) Observer {
-	live := make([]Observer, 0, len(obs))
+	n, last := 0, Observer(nil)
+	for _, o := range obs {
+		if o != nil {
+			n, last = n+1, o
+		}
+	}
+	if n <= 1 {
+		return last
+	}
+	live := make(multiObserver, 0, n)
 	for _, o := range obs {
 		if o != nil {
 			live = append(live, o)
 		}
 	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	default:
-		return multiObserver(live)
-	}
+	return live
 }
 
 type multiObserver []Observer

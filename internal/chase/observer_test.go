@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/parser"
@@ -54,17 +55,6 @@ func TestObserverCallbacks(t *testing.T) {
 	}
 }
 
-// TestObserverWithoutProgress: the observer fires even when no
-// Progress callback is installed (they share the round barrier but not
-// the enabling condition).
-func TestObserverWithoutProgress(t *testing.T) {
-	rec := &recorder{}
-	res := run(t, `r(a, b).`, `r(X, Y) -> p(X). p(X) -> q(X).`, Options{Observer: rec})
-	if rec.rounds == 0 || rec.rounds != res.Stats.Rounds {
-		t.Fatalf("rounds observed = %d, stats = %d", rec.rounds, res.Stats.Rounds)
-	}
-}
-
 func TestMultiObserver(t *testing.T) {
 	if MultiObserver() != nil || MultiObserver(nil, nil) != nil {
 		t.Fatal("empty fan-out is not nil")
@@ -84,9 +74,11 @@ func TestMultiObserver(t *testing.T) {
 	}
 }
 
-// TestObserverProgressTogether: Progress and Observer coexist at the
-// same round barrier.
-func TestObserverProgressTogether(t *testing.T) {
+// TestMultiObserverRoundSequences: under a real run, every member of a
+// MultiObserver — a full Observer and a RoundFunc alike — sees the same
+// round sequence, one Stats per round boundary (the final round
+// included), and each boundary reaches the members in list order.
+func TestMultiObserverRoundSequences(t *testing.T) {
 	db, err := parser.ParseDatabase(`r(a, b).`)
 	if err != nil {
 		t.Fatal(err)
@@ -95,17 +87,33 @@ func TestObserverProgressTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progress := 0
-	rec := &recorder{}
-	res := Run(db, rules, Options{
-		MaxAtoms: 30,
-		Progress: func(Stats) { progress++ },
-		Observer: rec,
-	})
-	if progress == 0 || progress != rec.rounds {
-		t.Fatalf("progress=%d observer-rounds=%d; want equal and nonzero", progress, rec.rounds)
-	}
+	var order []string
+	var seqA, seqB []Stats
+	a := &recorder{}
+	first := RoundFunc(func(s Stats) { order = append(order, "a"); seqA = append(seqA, s) })
+	second := RoundFunc(func(s Stats) { order = append(order, "b"); seqB = append(seqB, s) })
+	res := Run(db, rules, Options{MaxAtoms: 30, Observer: MultiObserver(first, a, second)})
 	if res.Terminated {
 		t.Fatal("expected budgeted run")
+	}
+	if len(seqA) == 0 || len(seqA) != res.Stats.Rounds || a.rounds != res.Stats.Rounds {
+		t.Fatalf("rounds seen: a=%d recorder=%d, stats say %d", len(seqA), a.rounds, res.Stats.Rounds)
+	}
+	if !reflect.DeepEqual(seqA, seqB) {
+		t.Fatalf("members saw different round sequences:\n%+v\n%+v", seqA, seqB)
+	}
+	for i, s := range seqA {
+		if s.Rounds != i+1 {
+			t.Fatalf("observation %d reports round %d", i, s.Rounds)
+		}
+		if order[2*i] != "a" || order[2*i+1] != "b" {
+			t.Fatalf("round %d reached members out of order: %v", i+1, order[2*i:2*i+2])
+		}
+	}
+	if last := seqA[len(seqA)-1]; last.Atoms != res.Stats.Atoms {
+		t.Fatalf("final round observed %d atoms, result has %d", last.Atoms, res.Stats.Atoms)
+	}
+	if a.doneCalls != 1 || a.terminated {
+		t.Fatalf("recorder done calls = %d (terminated=%v), want one non-terminated", a.doneCalls, a.terminated)
 	}
 }

@@ -54,10 +54,10 @@ func QoSFlag(fs *flag.FlagSet) *string {
 	return fs.String("qos", "", "QoS policy: exact (default), learn, bounded, or anytime:<deadline>[,<k>r]")
 }
 
-// ProgressPrinter returns a chase.Options.Progress callback that renders
-// each round-boundary snapshot as one diagnostic line on w, prefixed by
-// the tool name.
-func ProgressPrinter(w io.Writer, tool string) func(chase.Stats) {
+// ProgressPrinter returns a round observer that renders each
+// round-boundary snapshot as one diagnostic line on w, prefixed by the
+// tool name.
+func ProgressPrinter(w io.Writer, tool string) chase.RoundFunc {
 	return func(s chase.Stats) {
 		fmt.Fprintf(w, "%s: stream round=%d atoms=%d nulls=%d fired=%d/%d\n",
 			tool, s.Rounds, s.Atoms, s.Nulls, s.TriggersFired, s.TriggersConsidered)
@@ -68,14 +68,13 @@ func ProgressPrinter(w io.Writer, tool string) func(chase.Stats) {
 // events are rendered to w as they arrive (latest-wins — a slow writer
 // only misses intermediate rounds, never the final one; the stream is
 // closed just before the result is delivered), and the job's typed
-// result is returned. Non-chase tickets have no stream and return
-// immediately on Wait.
+// result is returned. A ticket without rounds to stream (decide,
+// experiment) carries an already-closed stream, so the loop falls
+// straight through to Wait.
 func StreamServiceTicket(w io.Writer, tool string, t *service.Ticket) service.Result {
-	if progress := t.Progress(); progress != nil {
-		print := ProgressPrinter(w, tool)
-		for s := range progress {
-			print(s)
-		}
+	print := ProgressPrinter(w, tool)
+	for s := range t.Progress() {
+		print(s)
 	}
 	return t.Wait()
 }

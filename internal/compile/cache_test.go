@@ -93,10 +93,10 @@ func TestCacheInvalidation(t *testing.T) {
 	c := NewCache(4)
 	sigma := parser.MustParseRules(`p(X) -> ∃Y r(X, Y).`)
 	c.CompiledChase(sigma)
-	if !c.InvalidateSet(sigma) {
+	if !c.Invalidate(Of(sigma)) {
 		t.Fatal("invalidation of a cached set reported absent")
 	}
-	if c.InvalidateSet(sigma) {
+	if c.Invalidate(Of(sigma)) {
 		t.Fatal("double invalidation reported present")
 	}
 	if _, hit := c.CompiledChase(sigma); hit {
@@ -287,7 +287,7 @@ func TestCacheAsChaseCompiler(t *testing.T) {
 	}
 	// A compiler serving a mismatched set degrades to a cold compile.
 	other := chase.Compile(parser.MustParseRules(`p(X) -> q(X).`))
-	res2 := chase.Run(db, sigma, chase.Options{MaxAtoms: 50, Compile: chase.Precompiled(other)})
+	res2 := chase.Run(db, sigma, chase.Options{MaxAtoms: 50, Compile: fixedCompiler{other}})
 	if res2.Stats.CompileMisses != 1 {
 		t.Fatal("mismatched compiler must count a miss")
 	}
@@ -295,6 +295,12 @@ func TestCacheAsChaseCompiler(t *testing.T) {
 		t.Fatal("fallback run diverged from the cached run")
 	}
 }
+
+// fixedCompiler serves one compiled set for every Σ, claiming a hit —
+// whether or not the set matches.
+type fixedCompiler struct{ cs *chase.CompiledSet }
+
+func (f fixedCompiler) CompiledChase(*tgds.Set) (*chase.CompiledSet, bool) { return f.cs, true }
 
 // A byte budget evicts the least-recently-used entries once the byte
 // accounting exceeds it, while an unset budget (the default) leaves the

@@ -461,9 +461,6 @@ func (c *Cache) Invalidate(fp Fingerprint) bool {
 	return true
 }
 
-// InvalidateSet is Invalidate(Of(sigma)).
-func (c *Cache) InvalidateSet(sigma *tgds.Set) bool { return c.Invalidate(Of(sigma)) }
-
 // Reset empties the cache — entries, registrations, and counters.
 func (c *Cache) Reset() {
 	c.mu.Lock()

@@ -88,8 +88,8 @@ func TestByteAccounting(t *testing.T) {
 
 	// Invalidate returns sigma's bytes to the pool.
 	before := c.Stats().Bytes
-	if !c.InvalidateSet(sigma) {
-		t.Fatal("InvalidateSet found no entry")
+	if !c.Invalidate(Of(sigma)) {
+		t.Fatal("Invalidate found no entry")
 	}
 	if got := c.Stats().Bytes; got >= before || got < 0 {
 		t.Fatalf("Bytes = %d after invalidation, want in [0, %d)", got, before)

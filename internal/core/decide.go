@@ -155,7 +155,7 @@ func DecideG(db *logic.Instance, sigma *tgds.Set) (*Verdict, error) {
 
 // Decide dispatches on the most restrictive class of Σ. For arbitrary
 // (unguarded) sets, for which the problem is undecidable (Section 3 /
-// [13]), it returns an error; use DecideNaiveWithBudget for a best-effort
+// [13]), it returns an error; use DecideNaive for a best-effort
 // semi-decision.
 func Decide(db *logic.Instance, sigma *tgds.Set) (*Verdict, error) {
 	return DecideWith(db, sigma, nil)
@@ -183,24 +183,7 @@ func DecideWith(db *logic.Instance, sigma *tgds.Set, a Analyses) (*Verdict, erro
 // characterizations. The practical atom cap bounds memory; when the exact
 // bound exceeds the cap the procedure may return Unknown.
 func DecideNaive(db *logic.Instance, sigma *tgds.Set, atomCap int) (*Verdict, error) {
-	return DecideNaiveExec(db, sigma, atomCap, nil)
-}
-
-// DecideNaiveExec is DecideNaive with the materialization's trigger
-// collection sharded across the executor's workers (nil or single-worker
-// executors run sequentially). The parallel engine is deterministic, so
-// the verdict — including the exact atom count in the certificate — is
-// identical either way.
-func DecideNaiveExec(db *logic.Instance, sigma *tgds.Set, atomCap int, exec chase.Executor) (*Verdict, error) {
-	return DecideNaiveWith(db, sigma, atomCap, exec, nil)
-}
-
-// DecideNaiveWith is DecideNaiveExec with the materialization's per-TGD
-// programs fetched through comp (a cross-request compilation cache; nil
-// compiles cold). The cache is a pure performance knob: the verdict is
-// identical either way.
-func DecideNaiveWith(db *logic.Instance, sigma *tgds.Set, atomCap int, exec chase.Executor, comp chase.Compiler) (*Verdict, error) {
-	return DecideNaiveOpt(db, sigma, NaiveOptions{AtomCap: atomCap, Executor: exec, Compiler: comp})
+	return DecideNaiveOpt(db, sigma, NaiveOptions{AtomCap: atomCap})
 }
 
 // NaiveOptions configures DecideNaiveOpt's materialization probe. Every
@@ -217,10 +200,10 @@ type NaiveOptions struct {
 	// Compiler, when non-nil, serves the probe's compiled per-TGD programs
 	// from a cross-request cache.
 	Compiler chase.Compiler
-	// Progress, when non-nil, receives the probe's statistics at every
-	// round boundary (chase.Options.Progress); streaming callers use it to
-	// surface the long-running materialization incrementally.
-	Progress func(chase.Stats)
+	// Observer, when non-nil, observes the probe's rounds and end
+	// (chase.Options.Observer); streaming callers use it to surface the
+	// long-running materialization incrementally.
+	Observer chase.Observer
 }
 
 // DecideNaiveOpt is the naive procedure with its probe fully configured
@@ -232,7 +215,7 @@ func DecideNaiveOpt(db *logic.Instance, sigma *tgds.Set, o NaiveOptions) (*Verdi
 	}
 	b := SizeBound(sigma, class)
 	budget, exact := NaiveBudget(db.Len(), b, o.AtomCap)
-	res := chase.Run(db, sigma, chase.Options{MaxAtoms: budget, Executor: o.Executor, Compile: o.Compiler, Progress: o.Progress})
+	res := chase.Run(db, sigma, chase.Options{MaxAtoms: budget, Executor: o.Executor, Compile: o.Compiler, Observer: o.Observer})
 	v := &Verdict{Class: class, Method: "naive chase materialization"}
 	switch {
 	case res.Terminated:

@@ -318,8 +318,8 @@ type countingObserver struct{ done int }
 func (c *countingObserver) ObserveRound(chase.Stats)      {}
 func (c *countingObserver) ObserveDone(chase.Stats, bool) { c.done++ }
 
-// TestProfileThenBounded is the package-level serving loop: Profile a
-// terminating program, then replay it under the learned bound — the
+// TestProfileThenBounded is the package-level serving loop: run a
+// terminating program under an attached Recorder, then replay it under the learned bound — the
 // bound includes the final empty round, so the replay reaches the same
 // fixpoint and still terminates.
 func TestProfileThenBounded(t *testing.T) {
@@ -332,7 +332,9 @@ func TestProfileThenBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := compile.NewCache(0)
-	ref := Profile(cache, prog.Database, prog.Rules, chase.Options{MaxAtoms: 1000})
+	opts := chase.Options{MaxAtoms: 1000}
+	NewRecorder(cache, compile.Of(prog.Rules), opts.Variant).Attach(&opts)
+	ref := chase.Run(prog.Database, prog.Rules, opts)
 	if !ref.Terminated {
 		t.Fatal("reference run must terminate")
 	}

@@ -22,9 +22,9 @@
 //     over per-ticket channels as jobs finish. ChaseJob and ResumeJob
 //     build engine jobs, whose atom and round budgets ride in their
 //     chase.Options and whose tickets additionally stream round-level
-//     progress (chase.Options.Progress, latest-wins). Drain and Close
-//     shut fleets down gracefully; Gather collates a fleet's streamed
-//     results back into submission order.
+//     progress (latest-wins, fed by the job's chase.Observer chain).
+//     Drain and Close shut fleets down gracefully; Gather collates a
+//     fleet's streamed results back into submission order.
 //
 // The two compose: a Scheduler job may itself carry an Executor, trading
 // intra-run against cross-job parallelism.

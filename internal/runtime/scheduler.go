@@ -303,12 +303,11 @@ func (s *Scheduler) Submit(j Job) (*Ticket, error) { return s.SubmitIn(context.B
 // ctx.Err() as soon as ctx is cancelled instead of waiting for a slot, so
 // a dead request never leaks a blocked submitter.
 //
-// An engine job (built by ChaseJob or ResumeJob) is wired to its ticket:
-// the run's chase.Options.Progress forwards each round-boundary Stats
-// snapshot into the ticket's Progress stream with latest-wins semantics
-// (beside any Progress the caller set), and with telemetry on a metering
-// observer joins any Observer the caller brought. Opaque jobs get
-// neither.
+// An engine job (built by ChaseJob or ResumeJob) is wired to its ticket
+// through one per-job observer, chained after any chase.Options.Observer
+// the caller brought: it forwards each round-boundary Stats snapshot
+// into the ticket's Progress stream with latest-wins semantics and, with
+// telemetry on, meters the run. Opaque jobs get neither.
 func (s *Scheduler) SubmitIn(ctx context.Context, j Job) (*Ticket, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -316,7 +315,9 @@ func (s *Scheduler) SubmitIn(ctx context.Context, j Job) (*Ticket, error) {
 	var progress chan chase.Stats
 	var obs *chaseObserver
 	if j.engine.run != nil {
-		j.engine.opts, progress, obs = s.instrumentEngine(j.engine.opts, j.engine.kind)
+		progress = make(chan chase.Stats, 1)
+		obs = &chaseObserver{progress: progress, m: s.tel, kind: j.engine.kind}
+		j.engine.opts.Observer = chase.MultiObserver(j.engine.opts.Observer, obs)
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -385,29 +386,6 @@ func (s *Scheduler) SubmitIn(ctx context.Context, j Job) (*Ticket, error) {
 		cancel()
 		return nil, ErrSchedulerClosed
 	}
-}
-
-// instrumentEngine applies the scheduler's per-engine-job wiring to an
-// options value: the latest-wins progress forward and — with telemetry
-// on — the metering observer beside any observer the caller brought. The
-// observer's trace handle is filled in by SubmitIn, under the admission
-// step, before the job can reach a worker; kind names its terminal trace
-// span.
-func (s *Scheduler) instrumentEngine(opts chase.Options, kind string) (chase.Options, chan chase.Stats, *chaseObserver) {
-	progress := make(chan chase.Stats, 1)
-	prev := opts.Progress
-	opts.Progress = func(st chase.Stats) {
-		if prev != nil {
-			prev(st)
-		}
-		pushLatest(progress, st)
-	}
-	var obs *chaseObserver
-	if s.tel != nil {
-		obs = &chaseObserver{m: s.tel, kind: kind}
-		opts.Observer = chase.MultiObserver(opts.Observer, obs)
-	}
-	return opts, progress, obs
 }
 
 // pushLatest delivers st to a 1-buffered channel with latest-wins

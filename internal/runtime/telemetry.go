@@ -94,14 +94,17 @@ func outcomeOf(r JobResult) string {
 	}
 }
 
-// chaseObserver adapts chase.Observer onto the scheduler's telemetry:
-// per-round counter feeds plus sampled per-round trace spans. One
-// observer serves one job; the engine calls it from its own goroutine
-// only, so the non-atomic cursor fields are safe.
+// chaseObserver is an engine job's one observer: it forwards every
+// round boundary into the ticket's latest-wins Progress stream and, when
+// the scheduler carries telemetry (m != nil), feeds the per-round
+// counters and sampled per-round trace spans. One observer serves one
+// job; the engine calls it from its own goroutine only, so the
+// non-atomic cursor fields are safe.
 type chaseObserver struct {
-	m     *schedTelemetry
-	trace *telemetry.JobTrace // set by SubmitIn before enqueue; nil when tracing is off
-	kind  string              // terminal span name; "" means "chase" ("resume" for resumed jobs)
+	progress chan chase.Stats
+	m        *schedTelemetry     // nil when telemetry is off
+	trace    *telemetry.JobTrace // set by SubmitIn before enqueue; nil when tracing is off
+	kind     string              // terminal span name; "" means "chase" ("resume" for resumed jobs)
 
 	started    bool
 	prevAtoms  int
@@ -109,20 +112,16 @@ type chaseObserver struct {
 	prevRounds int
 }
 
-// ObserveRound meters the round's deltas and, for sampled rounds
-// (powers of two — a deterministic, log-sized sample of arbitrarily
-// long runs), records a round span.
+// ObserveRound publishes the round on the ticket's stream, then meters
+// the round's deltas and, for sampled rounds (powers of two — a
+// deterministic, log-sized sample of arbitrarily long runs), records a
+// round span.
 func (o *chaseObserver) ObserveRound(st chase.Stats) {
-	if !o.started {
-		o.started = true
-		o.prevAtoms = st.InitialAtoms
+	pushLatest(o.progress, st)
+	if o.m == nil {
+		return
 	}
-	o.m.rounds.Add(uint64(st.Rounds - o.prevRounds))
-	o.m.atoms.Add(uint64(st.Atoms - o.prevAtoms))
-	o.m.triggers.Add(uint64(st.TriggersFired - o.prevFired))
-	o.prevRounds = st.Rounds
-	o.prevAtoms = st.Atoms
-	o.prevFired = st.TriggersFired
+	o.meter(st)
 	if o.trace != nil && sampledRound(st.Rounds) {
 		o.trace.Event("round",
 			"round", strconv.Itoa(st.Rounds),
@@ -136,16 +135,10 @@ func (o *chaseObserver) ObserveRound(st chase.Stats) {
 // interrupted before its first round boundary still reports its final
 // stats here, so account any remainder.
 func (o *chaseObserver) ObserveDone(st chase.Stats, terminated bool) {
-	if !o.started {
-		o.started = true
-		o.prevAtoms = st.InitialAtoms
+	if o.m == nil {
+		return
 	}
-	o.m.rounds.Add(uint64(st.Rounds - o.prevRounds))
-	o.m.atoms.Add(uint64(st.Atoms - o.prevAtoms))
-	o.m.triggers.Add(uint64(st.TriggersFired - o.prevFired))
-	o.prevRounds = st.Rounds
-	o.prevAtoms = st.Atoms
-	o.prevFired = st.TriggersFired
+	o.meter(st)
 	if o.trace != nil {
 		if st.CompileHits+st.CompileMisses > 0 {
 			cache := "miss"
@@ -163,6 +156,20 @@ func (o *chaseObserver) ObserveDone(st chase.Stats, terminated bool) {
 			"atoms", strconv.Itoa(st.Atoms),
 			"terminated", strconv.FormatBool(terminated))
 	}
+}
+
+// meter adds the counters' growth since the last observation.
+func (o *chaseObserver) meter(st chase.Stats) {
+	if !o.started {
+		o.started = true
+		o.prevAtoms = st.InitialAtoms
+	}
+	o.m.rounds.Add(uint64(st.Rounds - o.prevRounds))
+	o.m.atoms.Add(uint64(st.Atoms - o.prevAtoms))
+	o.m.triggers.Add(uint64(st.TriggersFired - o.prevFired))
+	o.prevRounds = st.Rounds
+	o.prevAtoms = st.Atoms
+	o.prevFired = st.TriggersFired
 }
 
 // sampledRound reports whether a round index is in the deterministic

@@ -100,6 +100,79 @@ func TestSchedulerTelemetryMetrics(t *testing.T) {
 	}
 }
 
+// callerObserver records what a caller-supplied Observer sees.
+type callerObserver struct {
+	rounds []chase.Stats
+	done   []chase.Stats
+}
+
+func (c *callerObserver) ObserveRound(st chase.Stats)        { c.rounds = append(c.rounds, st) }
+func (c *callerObserver) ObserveDone(st chase.Stats, _ bool) { c.done = append(c.done, st) }
+
+// TestEngineJobObserverChain: an engine job whose caller brought an
+// Observer, under a telemetry-enabled scheduler, runs one observer chain
+// that serves everyone — the caller sees every round and exactly one
+// ObserveDone, the ticket's latest-wins stream still holds the final
+// round, and the metered round/atom/trigger counters equal the run's
+// Stats.
+func TestEngineJobObserverChain(t *testing.T) {
+	tel := telemetry.New()
+	s := NewScheduler(SchedulerConfig{Workers: 1, QueueBound: 1, Telemetry: tel})
+	defer s.Close()
+
+	db := parser.MustParseDatabase(`e(a, b).`)
+	sigma := parser.MustParseRules(`e(X, Y) -> ∃Z e(Y, Z).`)
+	caller := &callerObserver{}
+	tk, err := s.Submit(ChaseJob("walk", db, sigma, chase.Options{MaxRounds: 6, Observer: caller}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tk.Wait()
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	st := r.Value.(*chase.Result).Stats
+
+	// Nothing consumed the stream while the job ran, so latest-wins left
+	// exactly the final round in it.
+	var streamed []chase.Stats
+	for ev := range tk.Progress() {
+		streamed = append(streamed, ev)
+	}
+	if len(streamed) != 1 || streamed[0].Rounds != st.Rounds || streamed[0].Atoms != st.Atoms {
+		t.Fatalf("ticket stream = %+v, want the final round of %+v", streamed, st)
+	}
+
+	if len(caller.rounds) != st.Rounds {
+		t.Fatalf("caller saw %d rounds, stats say %d", len(caller.rounds), st.Rounds)
+	}
+	for i, ev := range caller.rounds {
+		if ev.Rounds != i+1 {
+			t.Fatalf("caller observation %d reports round %d", i, ev.Rounds)
+		}
+	}
+	if caller.rounds[len(caller.rounds)-1] != streamed[0] {
+		t.Fatalf("caller's last round %+v differs from the streamed %+v", caller.rounds[len(caller.rounds)-1], streamed[0])
+	}
+	if len(caller.done) != 1 || caller.done[0] != st {
+		t.Fatalf("caller done calls = %+v, want one carrying %+v", caller.done, st)
+	}
+
+	snap := tel.Registry.Snapshot()
+	for _, c := range []struct {
+		name string
+		want int
+	}{
+		{"chase_rounds_total", st.Rounds},
+		{"chase_atoms_derived_total", st.Atoms - st.InitialAtoms},
+		{"chase_triggers_fired_total", st.TriggersFired},
+	} {
+		if got, _ := snap.Get(c.name); got != float64(c.want) {
+			t.Fatalf("%s = %v, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestSchedulerTelemetryTrace pins one traced job's span sequence:
 // admit → queue → sampled rounds → compile → chase → run, in that
 // order, all under the job's index.

@@ -180,10 +180,6 @@ type ChaseRequest struct {
 	// caller-owned worker pool.
 	Workers  int
 	Executor chase.Executor
-	// Progress, when non-nil, additionally observes round-boundary
-	// statistics in-process (the ticket's Progress stream works either
-	// way). In-process only: request files cannot carry it.
-	Progress func(chase.Stats)
 	// Checkpoint asks the run to capture resumable state at a clean stop
 	// (chase.Options.Checkpoint), so the ticket's EncodeCheckpoint can
 	// emit a portable artifact a later DeltaRequest continues from. Off
@@ -232,8 +228,6 @@ type DeltaRequest struct {
 	// Workers / Executor parallelize the run as in ChaseRequest.
 	Workers  int
 	Executor chase.Executor
-	// Progress observes round boundaries (in-process only).
-	Progress func(chase.Stats)
 }
 
 // DecideRequest asks a ChTrm termination question. Method selects the
@@ -252,8 +246,9 @@ type DecideRequest struct {
 	Wall    time.Duration
 	// Workers parallelizes the naive probe's trigger collection.
 	Workers int
-	// Progress observes the naive probe's rounds (in-process only).
-	Progress func(chase.Stats)
+	// Observer observes the naive probe's rounds and end (in-process
+	// only): a decision ticket has no Progress stream.
+	Observer chase.Observer
 }
 
 // ExperimentRequest asks for one of the paper's experiment tables.

@@ -225,7 +225,6 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 		TrackForest:      req.TrackForest,
 		RecordDerivation: req.RecordDerivation,
 		NoSemiNaive:      req.NoSemiNaive,
-		Progress:         req.Progress,
 		Compile:          s.cache,
 		Checkpoint:       req.Checkpoint,
 		Executor:         executor(req.Workers, req.Executor),
@@ -302,7 +301,6 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 		TrackForest:      req.TrackForest,
 		RecordDerivation: req.RecordDerivation,
 		NoSemiNaive:      req.NoSemiNaive,
-		Progress:         req.Progress,
 		Compile:          s.cache,
 		Checkpoint:       req.Chain,
 		Executor:         executor(req.Workers, req.Executor),
@@ -382,7 +380,7 @@ func (s *Service) decideRun(req DecideRequest, db *logic.Instance, sigma *tgds.S
 				AtomCap:  req.AtomCap,
 				Executor: exec,
 				Compiler: s.cache,
-				Progress: req.Progress,
+				Observer: req.Observer,
 			})
 		}, nil
 	case "ucq":

@@ -161,6 +161,33 @@ func TestUnknownFingerprint(t *testing.T) {
 	}
 }
 
+// gatedExec is a two-worker chase.Executor whose first Map parks until
+// release, so the scheduler worker running the job stays claimed; every
+// Map then runs its tasks in order on worker slot 0.
+type gatedExec struct {
+	claimed, gate      chan struct{}
+	parkOnce, gateOnce sync.Once
+}
+
+func newGatedExec() *gatedExec {
+	return &gatedExec{claimed: make(chan struct{}), gate: make(chan struct{})}
+}
+
+func (g *gatedExec) Workers() int { return 2 }
+
+func (g *gatedExec) Map(n int, task func(task, worker int)) {
+	g.parkOnce.Do(func() {
+		close(g.claimed)
+		<-g.gate
+	})
+	for i := 0; i < n; i++ {
+		task(i, 0)
+	}
+}
+
+// release opens the gate; it is idempotent.
+func (g *gatedExec) release() { g.gateOnce.Do(func() { close(g.gate) }) }
+
 // TestErrorTaxonomy walks the submit-side taxonomy: overload, closed,
 // decode, bad request — every kind classified and every sentinel
 // reachable through errors.Is.
@@ -169,26 +196,20 @@ func TestErrorTaxonomy(t *testing.T) {
 
 	t.Run("overloaded", func(t *testing.T) {
 		s := newService(t, Config{Workers: 1, QueueBound: 1, Backpressure: rt.Reject})
-		gate := make(chan struct{})
-		claimed := make(chan struct{})
-		var once, releaseOnce sync.Once
-		release := func() { releaseOnce.Do(func() { close(gate) }) }
-		defer release()
+		exec := newGatedExec()
+		defer exec.release()
 		first, err := s.SubmitChase(context.Background(), ChaseRequest{
 			Database: Payload{Instance: prog.Database},
 			Ontology: OntologyRef{Set: prog.Rules},
 			MaxAtoms: 50,
-			Progress: func(chase.Stats) {
-				once.Do(func() { close(claimed) })
-				<-gate
-			},
+			Executor: exec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Wait until the worker has claimed the job (its first round
-		// parks on the gate), then fill the queue bound.
-		<-claimed
+		// Wait until the worker has claimed the job (its first round's
+		// collection parks on the gate), then fill the queue bound.
+		<-exec.claimed
 		if _, err := s.SubmitChase(context.Background(), ChaseRequest{
 			Database: Payload{Instance: prog.Database},
 			Ontology: OntologyRef{Set: prog.Rules},
@@ -208,7 +229,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		if !errors.As(err, &se) || se.Kind != KindOverloaded {
 			t.Fatalf("err = %v, want KindOverloaded", err)
 		}
-		release()
+		exec.release()
 		if r := first.Wait(); r.Err != nil {
 			t.Fatalf("gated job failed: %v", r.Err)
 		}
@@ -279,22 +300,18 @@ func TestErrorTaxonomy(t *testing.T) {
 
 	t.Run("canceled", func(t *testing.T) {
 		s := newService(t, Config{Workers: 1})
-		gate := make(chan struct{})
-		claimed := make(chan struct{})
-		var once sync.Once
+		exec := newGatedExec()
+		defer exec.release()
 		first, err := s.SubmitChase(context.Background(), ChaseRequest{
 			Database: Payload{Instance: prog.Database},
 			Ontology: OntologyRef{Set: prog.Rules},
 			MaxAtoms: 50,
-			Progress: func(chase.Stats) {
-				once.Do(func() { close(claimed) })
-				<-gate
-			},
+			Executor: exec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-claimed
+		<-exec.claimed
 		queued, err := s.SubmitDecide(context.Background(), DecideRequest{
 			Database: Payload{Instance: prog.Database},
 			Ontology: OntologyRef{Set: prog.Rules},
@@ -303,7 +320,7 @@ func TestErrorTaxonomy(t *testing.T) {
 			t.Fatal(err)
 		}
 		queued.Cancel()
-		close(gate)
+		exec.release()
 		r := queued.Wait()
 		if !r.Canceled {
 			t.Fatalf("result %+v, want Canceled", r)

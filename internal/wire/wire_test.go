@@ -111,13 +111,13 @@ func TestChaseOnDecoded(t *testing.T) {
 func TestDeltaStream(t *testing.T) {
 	for name, prog := range scenarios(t) {
 		t.Run(name, func(t *testing.T) {
-			// Progress fires at every round boundary with the instance
+			// The observer fires at every round boundary with the instance
 			// length so far — exactly the per-round prefixes a delta
 			// publisher would ship.
 			var prefixes []int
 			opts := chase.Options{
 				MaxAtoms: 200,
-				Progress: func(s chase.Stats) { prefixes = append(prefixes, s.Atoms) },
+				Observer: chase.RoundFunc(func(s chase.Stats) { prefixes = append(prefixes, s.Atoms) }),
 			}
 			res := chase.Run(prog.Database, prog.Rules, opts)
 			data := EncodeSnapshot(prog.Database)
