@@ -50,16 +50,13 @@ func runFleet(addrs, network string, req service.ChaseRequest, engineLabel strin
 
 	job := fleet.Job{
 		Name:        "chase",
-		Tenant:      req.Meta.Tenant,
-		Priority:    req.Meta.Priority,
+		Meta:        req.Meta,
 		Fingerprint: h.Fingerprint,
 		Variant:     req.Variant,
 		Snapshot:    snapshot,
 		Deltas:      req.Database.Deltas,
-		MaxAtoms:    req.MaxAtoms,
-		MaxRounds:   req.MaxRounds,
+		Budget:      req.Budget(),
 		Workers:     req.Workers,
-		QoS:         req.Meta.QoS,
 	}
 	if stream {
 		job.Progress = cli.ProgressPrinter(stderr, "chase")

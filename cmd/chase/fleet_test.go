@@ -68,6 +68,15 @@ func TestChaseFleetGolden(t *testing.T) {
 			Exit:   1,
 			SameAs: "infinite-budget",
 		},
+		{
+			// An anytime round quota crosses the Submit frame inside the
+			// request's QoS policy: same whole-round prefix, same
+			// "deadline" truncation marker, same exit code.
+			Name:   "fleet-infinite-anytime-rounds",
+			Argv:   append([]string{"-program", clitest.Example("infinite.dlgp"), "-qos", "anytime:5r", "-format", "dlgp"}, remote...),
+			Exit:   1,
+			SameAs: "infinite-anytime-rounds",
+		},
 	})
 }
 

@@ -88,11 +88,7 @@ func (c *Checkpoint) Encode() ([]byte, error) {
 	w.Raw(c.Fingerprint[:])
 	w.Raw(c.Exact[:])
 	w.Uvarint(uint64(c.Variant))
-	var flags byte
-	if c.Terminated {
-		flags |= 1
-	}
-	w.Byte(flags)
+	w.Bool(c.Terminated)
 	w.Uvarint(uint64(c.Rounds))
 	w.Uvarint(uint64(c.State.NextNullID))
 	w.Uvarint(uint64(c.State.DeltaStart))
@@ -188,14 +184,11 @@ func Decode(data []byte) (*Checkpoint, error) {
 	}
 	c.Variant = chase.Variant(variant)
 	c.State.Variant = c.Variant
-	flags, err := r.Byte("flags")
+	terminated, err := r.Enum(2, "flags")
 	if err != nil {
 		return nil, err
 	}
-	if flags&^1 != 0 {
-		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrCorrupt, flags)
-	}
-	c.Terminated = flags&1 != 0
+	c.Terminated = terminated == 1
 	if c.Rounds, err = r.Count("rounds"); err != nil {
 		return nil, err
 	}

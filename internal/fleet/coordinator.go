@@ -79,23 +79,23 @@ type Config struct {
 // Progress crosses the wire, and Progress crosses as a flag asking the
 // worker to stream Progress frames.
 type Job struct {
-	Name     string
-	Tenant   string
-	Priority service.Priority
+	Name string
+	// Meta is the request's tenant, priority lane and QoS policy; the
+	// policy is resolved on the worker against its bound store (warmed
+	// by the cold-pull handshake).
+	Meta service.RequestMeta
 
 	Fingerprint compile.Fingerprint
 	Variant     chase.Variant
 	Snapshot    []byte
 	Deltas      [][]byte
 
-	MaxAtoms  int
-	MaxRounds int
+	// Budget is the request's explicit atom, round and wall budget
+	// (service.ChaseRequest.Budget).
+	Budget qos.Budget
 	// Workers parallelizes the run on the worker (the intra-run executor
 	// width, not the fleet width).
 	Workers int
-	// QoS is the request's serving policy, resolved on the worker against
-	// its bound store (warmed by the cold-pull handshake).
-	QoS qos.Policy
 
 	RecordDerivation bool
 	TrackForest      bool
@@ -210,8 +210,8 @@ func (c *Coordinator) Submit(job Job) (*Ticket, error) {
 		c.mu.Unlock()
 		return nil, closedErr()
 	}
-	idx := c.cursors[job.Tenant]
-	c.cursors[job.Tenant] = (idx + 1) % len(c.workers)
+	idx := c.cursors[job.Meta.Tenant]
+	c.cursors[job.Meta.Tenant] = (idx + 1) % len(c.workers)
 	w := c.workers[idx]
 	c.sending.Add(1)
 	c.mu.Unlock()

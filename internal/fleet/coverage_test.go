@@ -12,6 +12,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/compile"
 	"repro/internal/parser"
+	"repro/internal/qos"
 	"repro/internal/service"
 	"repro/internal/tgds"
 	"repro/internal/wire"
@@ -49,8 +50,8 @@ func TestReadFrameStream(t *testing.T) {
 // shorter valid message.
 func TestMessageTruncationSweep(t *testing.T) {
 	full := Job{
-		Name: "n", Tenant: "t", Priority: -2, Fingerprint: compile.Fingerprint{7},
-		Variant: chase.Restricted, MaxAtoms: 5, MaxRounds: 6, Workers: 7,
+		Name: "n", Meta: service.RequestMeta{Tenant: "t", Priority: -2}, Fingerprint: compile.Fingerprint{7},
+		Variant: chase.Restricted, Budget: qos.Budget{Atoms: 5, Rounds: 6}, Workers: 7,
 		RecordDerivation: true, TrackForest: true, NoSemiNaive: true, Progress: func(chase.Stats) {},
 		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d")},
 	}
@@ -87,7 +88,7 @@ func TestMessageTruncationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !m.RecordDerivation || !m.TrackForest || !m.NoSemiNaive || m.Progress == nil ||
-		m.Priority != -2 || m.Variant != chase.Restricted || string(m.Deltas[0]) != "d" {
+		m.Meta.Priority != -2 || m.Variant != chase.Restricted || string(m.Deltas[0]) != "d" {
 		t.Fatalf("submit round trip lost fields: %+v", m)
 	}
 	// A size field beyond int32 is corrupt even when bytes remain.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/compile"
 	"repro/internal/parser"
+	"repro/internal/qos"
 	"repro/internal/service"
 	"repro/internal/wire"
 )
@@ -129,11 +130,11 @@ func TestCoordinatorFleetEquivalence(t *testing.T) {
 					}
 					rt, err := coord.Submit(Job{
 						Name:             jobName,
-						Tenant:           name, // spread tenants over the fleet
+						Meta:             service.RequestMeta{Tenant: name}, // spread tenants over the fleet
 						Fingerprint:      h.Fingerprint,
 						Variant:          v,
 						Snapshot:         snapshot,
-						MaxAtoms:         300,
+						Budget:           qos.Budget{Atoms: 300},
 						Workers:          workers,
 						RecordDerivation: true,
 					})
@@ -207,7 +208,7 @@ func TestCoordinatorProgressAndPlacement(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		job := Job{
 			Name:        "j",
-			Tenant:      "acme",
+			Meta:        service.RequestMeta{Tenant: "acme"},
 			Fingerprint: h.Fingerprint,
 			Variant:     chase.SemiOblivious,
 			Snapshot:    snapshot,

@@ -13,7 +13,10 @@
 // client speaks strictly sequentially: one Register or Submit frame,
 // then it reads frames until the terminal answer for that request
 // (Registered, Result, or Error; a Submit may be preceded by any number
-// of Progress frames).
+// of Progress frames). A Submit carries the job's service.RequestMeta
+// (tenant, priority lane, qos.Policy) and its qos.Budget — atom, round
+// and wall limits — in qos's own encodings, so every budget an
+// in-process request runs under reaches the worker (protocol version 2).
 // All three cross-process identities ride the frames unchanged: the
 // database payload is an internal/wire snapshot (CanonicalKey-,
 // order-, and Stats-preserving), the ontology is internal/compile's
@@ -40,7 +43,7 @@ import (
 
 // Version is the protocol version this package speaks (and the only one
 // it accepts).
-const Version = 1
+const Version = 2
 
 // MaxFrameBytes caps a frame body. The cap bounds what a hostile or
 // corrupt peer can make the decoder allocate; real snapshots of

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/compile"
 	"repro/internal/qos"
+	"repro/internal/service"
 )
 
 // FuzzFleetFrame throws arbitrary bytes at the frame decoder and, for
@@ -26,18 +27,29 @@ func FuzzFleetFrame(f *testing.F) {
 	})))
 	f.Add(appendFrame(nil, kindRegistered, encodeRegistered(registeredMsg{Fingerprint: compile.Fingerprint{1, 2, 3}})))
 	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(Job{
-		Name: "job", Tenant: "acme", Priority: -3, Variant: chase.Restricted,
-		MaxAtoms: 300, MaxRounds: 7, Workers: 4,
+		Name: "job", Meta: service.RequestMeta{Tenant: "acme", Priority: -3}, Variant: chase.Restricted,
+		Budget: qos.Budget{Atoms: 300, Rounds: 7}, Workers: 4,
 		RecordDerivation: true, Progress: func(chase.Stats) {},
 		Snapshot: []byte("snap"), Deltas: [][]byte{[]byte("d1"), nil},
 	})))
 	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(Job{
 		Name: "anytime", Variant: chase.SemiOblivious,
-		QoS:      qos.Policy{Mode: qos.Anytime, Deadline: 250 * time.Millisecond, Rounds: 3},
+		Meta:     service.RequestMeta{QoS: qos.Policy{Mode: qos.Anytime, Deadline: 250 * time.Millisecond, Rounds: 3}},
 		Snapshot: []byte("snap"),
 	})))
 	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(Job{
-		Name: "learn", QoS: qos.Policy{Learn: true}, Snapshot: []byte("snap"),
+		Name: "walled", Meta: service.RequestMeta{Tenant: "acme", Priority: service.PriorityHigh},
+		Variant: chase.Oblivious, Budget: qos.Budget{Wall: 50 * time.Millisecond}, Snapshot: []byte("snap"),
+	})))
+	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(Job{
+		Name: "budgeted",
+		Meta: service.RequestMeta{Tenant: "t", Priority: service.PriorityLow,
+			QoS: qos.Policy{Mode: qos.Bounded}},
+		Budget:   qos.Budget{Atoms: 1000, Rounds: 9, Wall: 2 * time.Second},
+		Snapshot: []byte("snap"),
+	})))
+	f.Add(appendFrame(nil, kindSubmit, encodeSubmit(Job{
+		Name: "learn", Meta: service.RequestMeta{QoS: qos.Policy{Learn: true}}, Snapshot: []byte("snap"),
 	})))
 	f.Add(appendFrame(nil, kindProgress, encodeProgress(chase.Stats{Atoms: 9, Rounds: 2, Nulls: 1})))
 	f.Add(appendFrame(nil, kindResult, encodeResult(resultMsg{
@@ -51,7 +63,7 @@ func FuzzFleetFrame(f *testing.F) {
 	// Overlong (non-minimal) varints: a zero first stats field spelled in
 	// two bytes, and a zero rules length likewise. Accepting either would
 	// break the re-encode identity.
-	f.Add([]byte("FL\x01P\x00\x00\x00\x0b\x80\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add(append([]byte{'F', 'L', Version, kindProgress, 0, 0, 0, 11}, "\x80\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"...))
 	f.Add(appendFrame(nil, kindRegister, []byte{0x80, 0x00, 0x00}))
 	f.Add([]byte("FL garbage"))
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/chase"
 	"repro/internal/compile"
@@ -58,11 +57,7 @@ const (
 	flagTrackForest
 	flagNoSemiNaive
 	flagWantProgress
-	flagLearnBound
 )
-
-// Result flag bits.
-const flagTerminated = 1
 
 // writeStats writes the full chase.Stats in field order.
 func writeStats(w *wire.Writer, s chase.Stats) {
@@ -146,20 +141,14 @@ func decodeRegistered(body []byte) (registeredMsg, error) {
 func encodeSubmit(j Job) []byte {
 	w := &wire.Writer{}
 	w.Str(j.Name)
-	w.Str(j.Tenant)
-	w.Varint(int64(j.Priority))
+	w.Str(j.Meta.Tenant)
+	w.Varint(int64(j.Meta.Priority))
 	w.Raw(j.Fingerprint[:])
 	w.Byte(byte(j.Variant))
-	w.Uvarint(uint64(j.MaxAtoms))
-	w.Uvarint(uint64(j.MaxRounds))
+	j.Budget.Encode(w)
 	w.Uvarint(uint64(j.Workers))
-	w.Byte(byte(j.QoS.Mode))
-	w.Uvarint(uint64(j.QoS.Deadline))
-	w.Uvarint(uint64(j.QoS.Rounds))
+	j.Meta.QoS.Encode(w)
 	var flags byte
-	if j.QoS.Learn {
-		flags |= flagLearnBound
-	}
 	if j.RecordDerivation {
 		flags |= flagRecordDerivation
 	}
@@ -193,7 +182,7 @@ func decodeSubmit(body []byte) (Job, error) {
 	if j.Name, err = r.Str("name"); err != nil {
 		return j, err
 	}
-	if j.Tenant, err = r.Str("tenant"); err != nil {
+	if j.Meta.Tenant, err = r.Str("tenant"); err != nil {
 		return j, err
 	}
 	prio, err := r.Varint("priority")
@@ -203,56 +192,31 @@ func decodeSubmit(body []byte) (Job, error) {
 	if prio < math.MinInt32 || prio > math.MaxInt32 {
 		return j, fmt.Errorf("%w: priority %d out of range", ErrFrame, prio)
 	}
-	j.Priority = service.Priority(prio)
+	j.Meta.Priority = service.Priority(prio)
 	if j.Fingerprint, err = readFingerprint(&r); err != nil {
 		return j, err
 	}
-	variant, err := r.Byte("variant")
+	variant, err := r.Enum(byte(chase.Restricted)+1, "chase variant")
 	if err != nil {
 		return j, err
 	}
-	switch chase.Variant(variant) {
-	case chase.SemiOblivious, chase.Oblivious, chase.Restricted:
-		j.Variant = chase.Variant(variant)
-	default:
-		return j, fmt.Errorf("%w: unknown chase variant %d", ErrFrame, variant)
-	}
-	if j.MaxAtoms, err = r.Count("maxAtoms"); err != nil {
-		return j, err
-	}
-	if j.MaxRounds, err = r.Count("maxRounds"); err != nil {
+	j.Variant = chase.Variant(variant)
+	if j.Budget, err = qos.ReadBudget(&r); err != nil {
 		return j, err
 	}
 	if j.Workers, err = r.Count("workers"); err != nil {
 		return j, err
 	}
-	mode, err := r.Byte("qos mode")
-	if err != nil {
-		return j, err
-	}
-	if mode > byte(qos.Anytime) {
-		return j, fmt.Errorf("%w: unknown QoS mode %d", ErrFrame, mode)
-	}
-	j.QoS.Mode = qos.Mode(mode)
-	deadline, err := r.Uvarint("qos deadline")
-	if err != nil {
-		return j, err
-	}
-	if deadline > math.MaxInt64 {
-		return j, fmt.Errorf("%w: QoS deadline %d out of range", ErrFrame, deadline)
-	}
-	j.QoS.Deadline = time.Duration(deadline)
-	if j.QoS.Rounds, err = r.Count("qos rounds"); err != nil {
+	if j.Meta.QoS, err = qos.ReadPolicy(&r); err != nil {
 		return j, err
 	}
 	flags, err := r.Byte("flags")
 	if err != nil {
 		return j, err
 	}
-	if flags&^(flagRecordDerivation|flagTrackForest|flagNoSemiNaive|flagWantProgress|flagLearnBound) != 0 {
+	if flags&^(flagRecordDerivation|flagTrackForest|flagNoSemiNaive|flagWantProgress) != 0 {
 		return j, fmt.Errorf("%w: unknown submit flags %#x", ErrFrame, flags)
 	}
-	j.QoS.Learn = flags&flagLearnBound != 0
 	j.RecordDerivation = flags&flagRecordDerivation != 0
 	j.TrackForest = flags&flagTrackForest != 0
 	j.NoSemiNaive = flags&flagNoSemiNaive != 0
@@ -293,11 +257,7 @@ func decodeProgress(body []byte) (chase.Stats, error) {
 
 func encodeResult(m resultMsg) []byte {
 	w := &wire.Writer{}
-	var flags byte
-	if m.Terminated {
-		flags |= flagTerminated
-	}
-	w.Byte(flags)
+	w.Bool(m.Terminated)
 	w.Byte(byte(m.Source))
 	writeStats(w, m.Stats)
 	w.Blob(m.Snapshot)
@@ -308,20 +268,14 @@ func encodeResult(m resultMsg) []byte {
 func decodeResult(body []byte) (resultMsg, error) {
 	r := wire.NewReader(body, ErrFrame)
 	var m resultMsg
-	flags, err := r.Byte("flags")
+	terminated, err := r.Enum(2, "result flags")
 	if err != nil {
 		return m, err
 	}
-	if flags&^flagTerminated != 0 {
-		return m, fmt.Errorf("%w: unknown result flags %#x", ErrFrame, flags)
-	}
-	m.Terminated = flags&flagTerminated != 0
-	source, err := r.Byte("budget source")
+	m.Terminated = terminated == 1
+	source, err := r.Enum(byte(qos.SourceLearnedBound)+1, "budget source")
 	if err != nil {
 		return m, err
-	}
-	if source > byte(qos.SourceLearnedBound) {
-		return m, fmt.Errorf("%w: unknown budget source %d", ErrFrame, source)
 	}
 	m.Source = qos.Source(source)
 	if m.Stats, err = readStats(&r); err != nil {

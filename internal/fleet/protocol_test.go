@@ -55,7 +55,7 @@ func TestFrameDecodeAdversarial(t *testing.T) {
 // TestMessageDecodeAdversarial: message bodies reject truncation,
 // trailing garbage, unknown flag bits, and out-of-range enums.
 func TestMessageDecodeAdversarial(t *testing.T) {
-	sub := encodeSubmit(Job{Name: "n", Tenant: "t", Snapshot: []byte("s"), Deltas: [][]byte{[]byte("d")}})
+	sub := encodeSubmit(Job{Name: "n", Meta: service.RequestMeta{Tenant: "t"}, Snapshot: []byte("s"), Deltas: [][]byte{[]byte("d")}})
 	if _, err := decodeSubmit(sub[:len(sub)-1]); err == nil {
 		t.Fatal("truncated submit decoded")
 	}
@@ -71,10 +71,12 @@ func TestMessageDecodeAdversarial(t *testing.T) {
 	w.Byte(0)      // variant
 	w.Uvarint(0)   // maxAtoms
 	w.Uvarint(0)   // maxRounds
+	w.Uvarint(0)   // wall
 	w.Uvarint(0)   // workers
 	w.Byte(0)      // qos mode
 	w.Uvarint(0)   // qos deadline
 	w.Uvarint(0)   // qos rounds
+	w.Byte(0)      // qos learn
 	w.Byte(1 << 7) // unknown flag bit
 	w.Blob(nil)
 	w.Uvarint(0)
@@ -98,6 +100,7 @@ func TestMessageDecodeAdversarial(t *testing.T) {
 	w3.Byte(0)    // variant
 	w3.Uvarint(0) // maxAtoms
 	w3.Uvarint(0) // maxRounds
+	w3.Uvarint(0) // wall
 	w3.Uvarint(0) // workers
 	w3.Byte(9)    // unknown qos mode
 	if _, err := decodeSubmit(w3.Buf); err == nil {

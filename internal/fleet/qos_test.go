@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/chase"
 	"repro/internal/compile"
@@ -73,7 +74,7 @@ func TestFleetBoundsColdPull(t *testing.T) {
 		Name:        "bounded-cold",
 		Fingerprint: fp,
 		Snapshot:    wire.EncodeSnapshot(prog.Database),
-		QoS:         qos.Policy{Mode: qos.Bounded},
+		Meta:        service.RequestMeta{QoS: qos.Policy{Mode: qos.Bounded}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +96,8 @@ func TestFleetBoundsColdPull(t *testing.T) {
 		Name:        "bounded-prefix",
 		Fingerprint: fpInf,
 		Snapshot:    wire.EncodeSnapshot(inf.Database),
-		MaxAtoms:    100000,
-		QoS:         qos.Policy{Mode: qos.Bounded},
+		Budget:      qos.Budget{Atoms: 100000},
+		Meta:        service.RequestMeta{QoS: qos.Policy{Mode: qos.Bounded}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestFleetBoundsColdPull(t *testing.T) {
 		Name:        "bounded-unprofiled",
 		Fingerprint: hU.Fingerprint,
 		Snapshot:    wire.EncodeSnapshot(unprofiled.Database),
-		QoS:         qos.Policy{Mode: qos.Bounded},
+		Meta:        service.RequestMeta{QoS: qos.Policy{Mode: qos.Bounded}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,12 +179,11 @@ func TestFleetAnytimeEquivalence(t *testing.T) {
 			}
 			rt, err := coord.Submit(Job{
 				Name:        jobName,
-				Tenant:      name,
+				Meta:        service.RequestMeta{Tenant: name, QoS: policy},
 				Fingerprint: h.Fingerprint,
 				Variant:     v,
 				Snapshot:    snapshot,
-				MaxAtoms:    300,
-				QoS:         policy,
+				Budget:      qos.Budget{Atoms: 300},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -274,5 +274,61 @@ func TestServerCorruptBoundsRegister(t *testing.T) {
 	}
 	if got := svc.Bounds(ack.Fingerprint); len(got) != 1 || got[0].Bound.Rounds != 2 {
 		t.Fatalf("shipped bound after register: %+v", got)
+	}
+}
+
+// TestFleetWallBudget: a job's wall budget crosses the Submit frame. A
+// chase of a diverging (D, Σ) under a 50ms wall and no atom or round cap
+// stops on the worker unterminated, with the explicit flag as its budget
+// source — exactly as the in-process submission of the same request
+// does.
+func TestFleetWallBudget(t *testing.T) {
+	prog := scenarios(t)["infinite"]
+	local := service.New(service.Config{Workers: 1, Cache: compile.NewCache(0)})
+	defer local.Close()
+	h, err := local.RegisterOntology(prog.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(Config{Workers: startWorkers(t, 1, 1), Source: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	snapshot := wire.EncodeSnapshot(prog.Database)
+	req := service.ChaseRequest{Name: "walled", Wall: 50 * time.Millisecond}
+	lt, err := local.SubmitByFingerprint(context.Background(), h.Fingerprint, service.Payload{Snapshot: snapshot}, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := coord.Submit(Job{
+		Name:        req.Name,
+		Fingerprint: h.Fingerprint,
+		Snapshot:    snapshot,
+		Budget:      req.Budget(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan Result, 1)
+	go func() { done <- rt.Wait() }()
+	var rr Result
+	select {
+	case rr = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the fleet job ignored its wall budget")
+	}
+	if rr.Err != nil || rr.Terminated || rr.Source != qos.SourceFlag {
+		t.Fatalf("fleet run under a wall budget: err %v, terminated %v, source %v; want an unterminated flag-budget stop",
+			rr.Err, rr.Terminated, rr.Source)
+	}
+	lr := lt.Wait()
+	if lr.Err != nil {
+		t.Fatal(lr.Err)
+	}
+	if lr.Chase.Terminated != rr.Terminated || lr.BudgetSource != rr.Source {
+		t.Fatalf("in-process terminated %v source %v; fleet terminated %v source %v",
+			lr.Chase.Terminated, lr.BudgetSource, rr.Terminated, rr.Source)
 	}
 }

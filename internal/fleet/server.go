@@ -163,19 +163,18 @@ func (s *Server) serveSubmit(conn net.Conn, body []byte) error {
 	if err != nil {
 		return writeError(conn, service.KindBadRequest, err)
 	}
+	req := service.ChaseRequest{
+		Meta:             m.Meta,
+		Name:             m.Name,
+		Variant:          m.Variant,
+		TrackForest:      m.TrackForest,
+		RecordDerivation: m.RecordDerivation,
+		NoSemiNaive:      m.NoSemiNaive,
+		Workers:          m.Workers,
+	}
+	req.SetBudget(m.Budget)
 	tk, err := s.svc.SubmitByFingerprint(context.Background(), m.Fingerprint,
-		service.Payload{Snapshot: m.Snapshot, Deltas: m.Deltas},
-		service.ChaseRequest{
-			Meta:             service.RequestMeta{Tenant: m.Tenant, Priority: m.Priority, QoS: m.QoS},
-			Name:             m.Name,
-			Variant:          m.Variant,
-			MaxAtoms:         m.MaxAtoms,
-			MaxRounds:        m.MaxRounds,
-			TrackForest:      m.TrackForest,
-			RecordDerivation: m.RecordDerivation,
-			NoSemiNaive:      m.NoSemiNaive,
-			Workers:          m.Workers,
-		})
+		service.Payload{Snapshot: m.Snapshot, Deltas: m.Deltas}, req)
 	if err != nil {
 		return writeServiceError(conn, err)
 	}

@@ -36,11 +36,7 @@ func EncodeBounds(bounds []compile.VariantBound) []byte {
 		w.Byte(byte(vb.Variant))
 		w.Uvarint(uint64(vb.Bound.Rounds))
 		w.Uvarint(uint64(vb.Bound.Atoms))
-		if vb.Bound.Observed {
-			w.Byte(1)
-		} else {
-			w.Byte(0)
-		}
+		w.Bool(vb.Bound.Observed)
 	}
 	return w.Buf
 }
@@ -64,14 +60,11 @@ func DecodeBounds(data []byte) ([]compile.VariantBound, error) {
 	out := make([]compile.VariantBound, 0, count)
 	prev := chase.Variant(-1)
 	for range count {
-		b, err := r.Byte("record")
+		b, err := r.Enum(byte(chase.Restricted)+1, "variant")
 		if err != nil {
 			return nil, err
 		}
 		v := chase.Variant(b)
-		if v < chase.SemiOblivious || v > chase.Restricted {
-			return nil, fmt.Errorf("%w: unknown variant %d", ErrCorrupt, v)
-		}
 		if v <= prev {
 			return nil, fmt.Errorf("%w: variants out of order", ErrCorrupt)
 		}
@@ -84,12 +77,9 @@ func DecodeBounds(data []byte) ([]compile.VariantBound, error) {
 		if err != nil {
 			return nil, err
 		}
-		observed, err := r.Byte("observed flag")
+		observed, err := r.Enum(2, "observed flag")
 		if err != nil {
 			return nil, err
-		}
-		if observed > 1 {
-			return nil, fmt.Errorf("%w: bad observed flag %d", ErrCorrupt, observed)
 		}
 		out = append(out, compile.VariantBound{
 			Variant: v,
@@ -100,4 +90,57 @@ func DecodeBounds(data []byte) ([]compile.VariantBound, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Encode appends the budget in the wire codec's vocabulary: uvarint
+// atoms, rounds, and wall nanoseconds. ReadBudget parses it.
+func (b Budget) Encode(w *wire.Writer) {
+	w.Uvarint(uint64(b.Atoms))
+	w.Uvarint(uint64(b.Rounds))
+	w.Uvarint(uint64(b.Wall))
+}
+
+// ReadBudget reads what Budget.Encode wrote; every failure wraps r's
+// sentinel, and an accepted budget re-encodes to the same bytes.
+func ReadBudget(r *wire.Reader) (Budget, error) {
+	var b Budget
+	var err error
+	if b.Atoms, err = r.Count("budget atoms"); err != nil {
+		return b, err
+	}
+	if b.Rounds, err = r.Count("budget rounds"); err != nil {
+		return b, err
+	}
+	b.Wall, err = r.Duration("budget wall")
+	return b, err
+}
+
+// Encode appends the policy: the mode byte, uvarint deadline
+// nanoseconds, uvarint round quota, and the learn flag (0/1).
+// ReadPolicy parses it.
+func (p Policy) Encode(w *wire.Writer) {
+	w.Byte(byte(p.Mode))
+	w.Uvarint(uint64(p.Deadline))
+	w.Uvarint(uint64(p.Rounds))
+	w.Bool(p.Learn)
+}
+
+// ReadPolicy reads what Policy.Encode wrote, rejecting unknown modes;
+// every failure wraps r's sentinel.
+func ReadPolicy(r *wire.Reader) (Policy, error) {
+	var p Policy
+	mode, err := r.Enum(byte(Anytime)+1, "QoS mode")
+	if err != nil {
+		return p, err
+	}
+	p.Mode = Mode(mode)
+	if p.Deadline, err = r.Duration("QoS deadline"); err != nil {
+		return p, err
+	}
+	if p.Rounds, err = r.Count("QoS rounds"); err != nil {
+		return p, err
+	}
+	learn, err := r.Enum(2, "QoS learn flag")
+	p.Learn = learn == 1
+	return p, err
 }

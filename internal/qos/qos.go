@@ -19,11 +19,17 @@
 // repository. Learning rides on any exact run: Policy.Learn attaches a
 // Recorder that stores the observed bound when the run finishes.
 //
-// The internal/service layer resolves a request's Policy into a Decision
-// via Apply, folds rejections into its error taxonomy, and names the
-// budget that stopped a truncated run (Decision.TruncationSource) in the
-// CLI's "% truncated" marker. Learned bounds ship to cold fleet workers
-// alongside the ontology pull via EncodeBounds/DecodeBounds.
+// Budget{Atoms, Rounds, Wall} is the one budget value below the request
+// envelopes, and Budget.Validate the one negative-budget check.
+// Policy.Apply resolves a policy against a request's explicit Budget
+// into a Decision, whose Budget is the effective one; Decision.Tighten is
+// the one tighter-wins rule, and on a tie the policy wins (the truncation
+// marker names the policy's Source). The service layer folds rejections
+// into its error taxonomy and names the budget that stopped a truncated
+// run (Decision.TruncationSource) in the CLI's "% truncated" marker.
+// Learned bounds ship to cold fleet workers with the ontology pull
+// (EncodeBounds); Budget and Policy ride the fleet Submit frame through
+// their Encode/Read pairs.
 package qos
 
 import (
@@ -96,19 +102,6 @@ func (s Source) String() string {
 	default:
 		return "flag"
 	}
-}
-
-// ParseSource is the inverse of Source.String.
-func ParseSource(s string) (Source, bool) {
-	switch s {
-	case "flag":
-		return SourceFlag, true
-	case "deadline":
-		return SourceDeadline, true
-	case "learned-bound":
-		return SourceLearnedBound, true
-	}
-	return SourceFlag, false
 }
 
 // Policy is a request's QoS ask. The zero value is Exact with no
@@ -201,41 +194,79 @@ type BoundStore interface {
 	Bound(fp compile.Fingerprint, v chase.Variant) (compile.LearnedBound, bool)
 }
 
-// Decision is a resolved policy: the effective round and wall budgets a
-// run executes under, each tagged with the Source that imposed it. The
-// zero value is the exact decision with no budgets.
+// Budget is a run's atom, round and wall limits; a zero limit is
+// unlimited. It is the only budget value below the request envelopes.
+type Budget struct {
+	Atoms  int
+	Rounds int
+	Wall   time.Duration
+}
+
+// Validate rejects a negative limit.
+func (b Budget) Validate() error {
+	if b.Atoms < 0 || b.Rounds < 0 || b.Wall < 0 {
+		return fmt.Errorf("negative budget (atoms %d, rounds %d, wall %v)", b.Atoms, b.Rounds, b.Wall)
+	}
+	return nil
+}
+
+// Decision is a resolved policy: the effective budget a run executes
+// under, its round and wall limits each tagged with the Source that
+// imposed it. The zero value is the exact decision with no budgets.
 type Decision struct {
 	Mode  Mode
 	Learn bool
 	// Bound is the learned bound a Bounded decision resolved (zero
 	// otherwise).
 	Bound compile.LearnedBound
-	// MaxRounds is the effective round budget (0 = unlimited) and
-	// RoundsSource the budget's origin when it is set.
-	MaxRounds    int
+	// Budget is the effective budget (0 = unlimited per limit).
+	Budget       Budget
 	RoundsSource Source
-	// Wall is the effective wall budget (0 = unlimited) and WallSource
-	// its origin.
-	Wall       time.Duration
-	WallSource Source
+	WallSource   Source
 	// Deadline is the anytime deadline, kept for slack accounting (how
 	// much of the deadline the run left unused).
 	Deadline time.Duration
 }
 
-// Apply resolves the policy against the learned-bound store into the
-// effective budgets for one request. maxRounds and wall are the
-// request's explicit budgets; the tighter of the explicit and
-// policy-derived budget wins, and the Decision records which one that
-// was so truncated output can name its budget source.
-func (p Policy) Apply(store BoundStore, fp compile.Fingerprint, v chase.Variant, maxRounds int, wall time.Duration) (Decision, error) {
-	d := Decision{Mode: p.Mode, Learn: p.Learn, MaxRounds: maxRounds, RoundsSource: SourceFlag, Wall: wall, WallSource: SourceFlag}
-	if p.Deadline < 0 || p.Rounds < 0 {
-		return Decision{}, fmt.Errorf("negative QoS budget (deadline %v, rounds %d)", p.Deadline, p.Rounds)
+// Tighten is the one tighter-wins rule: each limit set in policy
+// replaces the decision's when that is unlimited or no tighter (the
+// policy wins ties), tagging a replaced round or wall limit with src.
+func (d *Decision) Tighten(policy Budget, src Source) {
+	tighten(&d.Budget.Atoms, policy.Atoms)
+	if tighten(&d.Budget.Rounds, policy.Rounds) {
+		d.RoundsSource = src
+	}
+	if tighten(&d.Budget.Wall, policy.Wall) {
+		d.WallSource = src
+	}
+}
+
+// tighten lowers *cur to a set limit that is no looser, reporting
+// whether it did.
+func tighten[T int | time.Duration](cur *T, limit T) bool {
+	if limit <= 0 || (*cur != 0 && limit > *cur) {
+		return false
+	}
+	*cur = limit
+	return true
+}
+
+// Apply resolves the policy against the learned-bound store and the
+// request's explicit budget into the effective one: the tighter of the
+// explicit and policy-derived limit wins (Decision.Tighten), and the
+// Decision records which one that was so truncated output can name its
+// budget source.
+func (p Policy) Apply(store BoundStore, fp compile.Fingerprint, v chase.Variant, explicit Budget) (Decision, error) {
+	if err := explicit.Validate(); err != nil {
+		return Decision{}, err
+	}
+	if err := (Budget{Rounds: p.Rounds, Wall: p.Deadline}).Validate(); err != nil {
+		return Decision{}, fmt.Errorf("QoS policy: %w", err)
 	}
 	if p.Learn && p.Mode != Exact {
 		return Decision{}, fmt.Errorf("bound learning requires an exact reference run, not %s", p.Mode)
 	}
+	d := Decision{Mode: p.Mode, Learn: p.Learn, Budget: explicit}
 	switch p.Mode {
 	case Exact:
 	case Bounded:
@@ -244,19 +275,12 @@ func (p Policy) Apply(store BoundStore, fp compile.Fingerprint, v chase.Variant,
 			return Decision{}, fmt.Errorf("%w for ontology %s variant %s (profile one with a learn-mode run first)", ErrNoLearnedBound, fp, v)
 		}
 		d.Bound = b
-		if maxRounds == 0 || b.Rounds < maxRounds {
-			d.MaxRounds, d.RoundsSource = b.Rounds, SourceLearnedBound
-		}
+		d.Tighten(Budget{Rounds: b.Rounds}, SourceLearnedBound)
 	case Anytime:
 		if p.Deadline == 0 && p.Rounds == 0 {
 			return Decision{}, errors.New("anytime policy needs a positive deadline or round quota")
 		}
-		if p.Rounds > 0 && (maxRounds == 0 || p.Rounds <= maxRounds) {
-			d.MaxRounds, d.RoundsSource = p.Rounds, SourceDeadline
-		}
-		if p.Deadline > 0 && (wall == 0 || p.Deadline <= wall) {
-			d.Wall, d.WallSource = p.Deadline, SourceDeadline
-		}
+		d.Tighten(Budget{Rounds: p.Rounds, Wall: p.Deadline}, SourceDeadline)
 		d.Deadline = p.Deadline
 	default:
 		return Decision{}, fmt.Errorf("unknown QoS mode %d", p.Mode)
@@ -271,17 +295,16 @@ func (p Policy) Apply(store BoundStore, fp compile.Fingerprint, v chase.Variant,
 func (d Decision) RoundGranular() bool { return d.Mode == Anytime }
 
 // TruncationSource names the budget that stopped a run reported as not
-// terminated, given the request's atom budget and the run's final
-// statistics. The resolution is deterministic — computed from the
-// decision and the stats, never from timing: a round-budget exhaustion
-// is attributed to the round budget's source, a mid-round atom-budget
-// break to the explicit flag, and anything else (a wall expiry) to the
-// wall budget's source.
-func (d Decision) TruncationSource(maxAtoms int, st chase.Stats) Source {
-	if d.MaxRounds > 0 && st.Rounds >= d.MaxRounds {
+// terminated, given the run's final statistics. The resolution is
+// deterministic — computed from the decision and the stats, never from
+// timing: a round-budget exhaustion is attributed to the round budget's
+// source, a mid-round atom-budget break to the explicit flag, and
+// anything else (a wall expiry) to the wall budget's source.
+func (d Decision) TruncationSource(st chase.Stats) Source {
+	if d.Budget.Rounds > 0 && st.Rounds >= d.Budget.Rounds {
 		return d.RoundsSource
 	}
-	if maxAtoms > 0 && st.Atoms > maxAtoms {
+	if d.Budget.Atoms > 0 && st.Atoms > d.Budget.Atoms {
 		return SourceFlag
 	}
 	return d.WallSource

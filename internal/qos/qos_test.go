@@ -10,6 +10,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/compile"
 	"repro/internal/parser"
+	"repro/internal/wire"
 )
 
 // TestParseGrammar: every form of the policy grammar parses to the
@@ -72,14 +73,10 @@ func TestModeAndSourceNames(t *testing.T) {
 	if Exact.String() != "exact" || Bounded.String() != "bounded" || Anytime.String() != "anytime" {
 		t.Fatal("mode names drifted from the CLI grammar")
 	}
-	for _, s := range []Source{SourceFlag, SourceDeadline, SourceLearnedBound} {
-		back, ok := ParseSource(s.String())
-		if !ok || back != s {
-			t.Fatalf("ParseSource(%q) = %v, %v; want %v", s.String(), back, ok, s)
-		}
-	}
-	if _, ok := ParseSource("vibes"); ok {
-		t.Fatal("ParseSource accepted an unknown source name")
+	// The truncation marker's vocabulary: "% truncated: <source> budget
+	// exhausted".
+	if SourceFlag.String() != "flag" || SourceDeadline.String() != "deadline" || SourceLearnedBound.String() != "learned-bound" {
+		t.Fatal("budget source names drifted from the truncation marker")
 	}
 }
 
@@ -91,11 +88,11 @@ func TestApply(t *testing.T) {
 	cache.StoreBound(fp, chase.SemiOblivious, compile.LearnedBound{Rounds: 5, Atoms: 40, Observed: true})
 
 	t.Run("exact-passthrough", func(t *testing.T) {
-		d, err := Policy{}.Apply(cache, fp, chase.SemiOblivious, 7, time.Second)
+		d, err := Policy{}.Apply(cache, fp, chase.SemiOblivious, Budget{Rounds: 7, Wall: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.MaxRounds != 7 || d.RoundsSource != SourceFlag || d.Wall != time.Second || d.WallSource != SourceFlag {
+		if d.Budget.Rounds != 7 || d.RoundsSource != SourceFlag || d.Budget.Wall != time.Second || d.WallSource != SourceFlag {
 			t.Fatalf("exact decision altered the explicit budgets: %+v", d)
 		}
 		if d.RoundGranular() {
@@ -103,25 +100,36 @@ func TestApply(t *testing.T) {
 		}
 	})
 	t.Run("bounded-wins-over-unlimited", func(t *testing.T) {
-		d, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.SemiOblivious, 0, 0)
+		d, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.SemiOblivious, Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.MaxRounds != 5 || d.RoundsSource != SourceLearnedBound || !d.Bound.Observed {
+		if d.Budget.Rounds != 5 || d.RoundsSource != SourceLearnedBound || !d.Bound.Observed {
 			t.Fatalf("bounded decision: %+v", d)
 		}
 	})
 	t.Run("tighter-flag-wins-over-bound", func(t *testing.T) {
-		d, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.SemiOblivious, 3, 0)
+		d, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.SemiOblivious, Budget{Rounds: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.MaxRounds != 3 || d.RoundsSource != SourceFlag {
+		if d.Budget.Rounds != 3 || d.RoundsSource != SourceFlag {
 			t.Fatalf("an explicit -max-rounds 3 is tighter than the learned 5 and must win: %+v", d)
 		}
 	})
+	t.Run("bounded-tie-credits-learned-bound", func(t *testing.T) {
+		// An explicit round budget equal to the learned bound: the one
+		// tighter-wins rule gives ties to the policy.
+		d, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.SemiOblivious, Budget{Rounds: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Budget.Rounds != 5 || d.RoundsSource != SourceLearnedBound {
+			t.Fatalf("a tie with the learned bound must credit the bound: %+v", d)
+		}
+	})
 	t.Run("bounded-miss", func(t *testing.T) {
-		_, err := Policy{Mode: Bounded}.Apply(cache, compile.Fingerprint{9}, chase.SemiOblivious, 0, 0)
+		_, err := Policy{Mode: Bounded}.Apply(cache, compile.Fingerprint{9}, chase.SemiOblivious, Budget{})
 		if !errors.Is(err, ErrNoLearnedBound) {
 			t.Fatalf("errors.Is(err, ErrNoLearnedBound) = false for %v", err)
 		}
@@ -129,35 +137,44 @@ func TestApply(t *testing.T) {
 	t.Run("bounded-miss-other-variant", func(t *testing.T) {
 		// Bounds are per-(fingerprint, variant): a semi-oblivious profile
 		// does not license a restricted-mode bounded run.
-		_, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.Restricted, 0, 0)
+		_, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.Restricted, Budget{})
 		if !errors.Is(err, ErrNoLearnedBound) {
 			t.Fatalf("want ErrNoLearnedBound for the unprofiled variant, got %v", err)
 		}
 	})
 	t.Run("anytime-rounds", func(t *testing.T) {
-		d, err := Policy{Mode: Anytime, Rounds: 4}.Apply(cache, fp, chase.SemiOblivious, 0, 0)
+		d, err := Policy{Mode: Anytime, Rounds: 4}.Apply(cache, fp, chase.SemiOblivious, Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.MaxRounds != 4 || d.RoundsSource != SourceDeadline || !d.RoundGranular() {
+		if d.Budget.Rounds != 4 || d.RoundsSource != SourceDeadline || !d.RoundGranular() {
 			t.Fatalf("anytime round quota: %+v", d)
 		}
 	})
-	t.Run("anytime-deadline-tightens-wall", func(t *testing.T) {
-		d, err := Policy{Mode: Anytime, Deadline: time.Millisecond}.Apply(cache, fp, chase.SemiOblivious, 0, time.Hour)
+	t.Run("anytime-tie-credits-deadline", func(t *testing.T) {
+		d, err := Policy{Mode: Anytime, Deadline: time.Second, Rounds: 4}.Apply(cache, fp, chase.SemiOblivious, Budget{Rounds: 4, Wall: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Wall != time.Millisecond || d.WallSource != SourceDeadline || d.Deadline != time.Millisecond {
+		if d.Budget.Rounds != 4 || d.RoundsSource != SourceDeadline || d.Budget.Wall != time.Second || d.WallSource != SourceDeadline {
+			t.Fatalf("ties with the anytime quota and deadline must credit the policy: %+v", d)
+		}
+	})
+	t.Run("anytime-deadline-tightens-wall", func(t *testing.T) {
+		d, err := Policy{Mode: Anytime, Deadline: time.Millisecond}.Apply(cache, fp, chase.SemiOblivious, Budget{Wall: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Budget.Wall != time.Millisecond || d.WallSource != SourceDeadline || d.Deadline != time.Millisecond {
 			t.Fatalf("anytime deadline: %+v", d)
 		}
 	})
 	t.Run("anytime-loose-deadline-keeps-flag-wall", func(t *testing.T) {
-		d, err := Policy{Mode: Anytime, Deadline: time.Hour}.Apply(cache, fp, chase.SemiOblivious, 0, time.Millisecond)
+		d, err := Policy{Mode: Anytime, Deadline: time.Hour}.Apply(cache, fp, chase.SemiOblivious, Budget{Wall: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Wall != time.Millisecond || d.WallSource != SourceFlag {
+		if d.Budget.Wall != time.Millisecond || d.WallSource != SourceFlag {
 			t.Fatalf("a tighter -wall must win over a loose deadline: %+v", d)
 		}
 	})
@@ -169,8 +186,13 @@ func TestApply(t *testing.T) {
 			{Mode: Bounded, Learn: true},            // learning needs an exact run
 			{Mode: Mode(42)},                        // unknown mode (wire hostile)
 		} {
-			if _, err := p.Apply(cache, fp, chase.SemiOblivious, 0, 0); err == nil {
+			if _, err := p.Apply(cache, fp, chase.SemiOblivious, Budget{}); err == nil {
 				t.Fatalf("Apply accepted invalid policy %+v", p)
+			}
+		}
+		for _, b := range []Budget{{Atoms: -1}, {Rounds: -1}, {Wall: -time.Second}} {
+			if _, err := (Policy{}).Apply(cache, fp, chase.SemiOblivious, b); err == nil {
+				t.Fatalf("Apply accepted negative explicit budget %+v", b)
 			}
 		}
 	})
@@ -181,22 +203,23 @@ func TestApply(t *testing.T) {
 // round budget's source, a mid-round atom break the flag, anything else
 // the wall.
 func TestTruncationSource(t *testing.T) {
-	d := Decision{Mode: Anytime, MaxRounds: 3, RoundsSource: SourceDeadline, Wall: time.Second, WallSource: SourceDeadline}
-	if got := d.TruncationSource(0, chase.Stats{Rounds: 3}); got != SourceDeadline {
+	d := Decision{Mode: Anytime, Budget: Budget{Rounds: 3, Wall: time.Second}, RoundsSource: SourceDeadline, WallSource: SourceDeadline}
+	if got := d.TruncationSource(chase.Stats{Rounds: 3}); got != SourceDeadline {
 		t.Fatalf("round-quota exhaustion: %v", got)
 	}
-	bounded := Decision{Mode: Bounded, MaxRounds: 5, RoundsSource: SourceLearnedBound}
-	if got := bounded.TruncationSource(0, chase.Stats{Rounds: 5}); got != SourceLearnedBound {
+	bounded := Decision{Mode: Bounded, Budget: Budget{Rounds: 5}, RoundsSource: SourceLearnedBound}
+	if got := bounded.TruncationSource(chase.Stats{Rounds: 5}); got != SourceLearnedBound {
 		t.Fatalf("learned-bound exhaustion: %v", got)
 	}
-	if got := bounded.TruncationSource(100, chase.Stats{Rounds: 2, Atoms: 150}); got != SourceFlag {
+	atomCapped := Decision{Mode: Bounded, Budget: Budget{Atoms: 100, Rounds: 5}, RoundsSource: SourceLearnedBound}
+	if got := atomCapped.TruncationSource(chase.Stats{Rounds: 2, Atoms: 150}); got != SourceFlag {
 		t.Fatalf("atom-budget break: %v", got)
 	}
-	wall := Decision{Mode: Anytime, Wall: time.Millisecond, WallSource: SourceDeadline}
-	if got := wall.TruncationSource(0, chase.Stats{Rounds: 9}); got != SourceDeadline {
+	wall := Decision{Mode: Anytime, Budget: Budget{Wall: time.Millisecond}, WallSource: SourceDeadline}
+	if got := wall.TruncationSource(chase.Stats{Rounds: 9}); got != SourceDeadline {
 		t.Fatalf("wall expiry: %v", got)
 	}
-	if got := (Decision{}).TruncationSource(100, chase.Stats{Atoms: 150}); got != SourceFlag {
+	if got := (Decision{Budget: Budget{Atoms: 100}}).TruncationSource(chase.Stats{Atoms: 150}); got != SourceFlag {
 		t.Fatalf("plain flag budget: %v", got)
 	}
 }
@@ -250,6 +273,43 @@ func TestDecodeBoundsRejectsCorrupt(t *testing.T) {
 	for name, blob := range cases {
 		if _, err := DecodeBounds(blob); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeBounds(%x) = %v, want ErrCorrupt", name, blob, err)
+		}
+	}
+}
+
+// TestBudgetPolicyCodec: Budget and Policy round-trip through their
+// encodings byte for byte, and hostile input fails wrapping the
+// reader's sentinel.
+func TestBudgetPolicyCodec(t *testing.T) {
+	b := Budget{Atoms: 300, Rounds: 7, Wall: 50 * time.Millisecond}
+	p := Policy{Mode: Anytime, Deadline: 250 * time.Millisecond, Rounds: 3, Learn: true}
+	w := &wire.Writer{}
+	b.Encode(w)
+	p.Encode(w)
+	r := wire.NewReader(w.Buf, ErrCorrupt)
+	gotB, err := ReadBudget(&r)
+	if err != nil || gotB != b {
+		t.Fatalf("ReadBudget = %+v, %v; want %+v", gotB, err, b)
+	}
+	gotP, err := ReadPolicy(&r)
+	if err != nil || gotP != p || r.Done() != nil {
+		t.Fatalf("ReadPolicy = %+v, %v; want %+v", gotP, err, p)
+	}
+	sentinel := errors.New("caller sentinel")
+	for name, data := range map[string][]byte{
+		"budget truncated":    {0x01, 0x02},
+		"budget wall range":   {0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
+		"policy unknown mode": {0x09},
+		"policy bad learn":    {0x00, 0x00, 0x00, 0x02},
+	} {
+		r := wire.NewReader(data, sentinel)
+		if strings.HasPrefix(name, "budget") {
+			_, err = ReadBudget(&r)
+		} else {
+			_, err = ReadPolicy(&r)
+		}
+		if !errors.Is(err, sentinel) {
+			t.Errorf("%s: err = %v, want the reader's sentinel", name, err)
 		}
 	}
 }
@@ -339,11 +399,11 @@ func TestProfileThenBounded(t *testing.T) {
 		t.Fatal("reference run must terminate")
 	}
 	fp := compile.Of(prog.Rules)
-	d, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.SemiOblivious, 0, 0)
+	d, err := Policy{Mode: Bounded}.Apply(cache, fp, chase.SemiOblivious, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := chase.Run(prog.Database, prog.Rules, chase.Options{MaxAtoms: 1000, MaxRounds: d.MaxRounds})
+	res := chase.Run(prog.Database, prog.Rules, chase.Options{MaxAtoms: 1000, MaxRounds: d.Budget.Rounds})
 	if !res.Terminated {
 		t.Fatal("bounded replay under the learned bound must reach the fixpoint")
 	}

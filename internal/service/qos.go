@@ -1,65 +1,52 @@
 package service
 
 import (
+	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/chase"
 	"repro/internal/compile"
 	"repro/internal/qos"
+	rt "repro/internal/runtime"
 	"repro/internal/tgds"
 )
 
 // qosFingerprint resolves the fingerprint a QoS decision keys learned
-// bounds by: the request's own fingerprint when it submitted by one,
-// else the canonical fingerprint of the resolved set — the same
-// identity either way, computed only when the policy needs it.
-func qosFingerprint(ref OntologyRef, sigma *tgds.Set) compile.Fingerprint {
-	if ref.Fingerprint != (compile.Fingerprint{}) {
-		return ref.Fingerprint
+// bounds by: the one the caller already knows (the request's own, or a
+// checkpoint's) when it is set, else the canonical fingerprint of the
+// resolved set — the same identity either way, computed only when the
+// policy needs it.
+func qosFingerprint(known compile.Fingerprint, sigma *tgds.Set) compile.Fingerprint {
+	if known != (compile.Fingerprint{}) {
+		return known
 	}
 	return compile.Of(sigma)
 }
 
-// applyQoS validates a chase-shaped request's explicit budgets and
-// resolves its QoS policy into the effective Decision. Explicit budget
-// validation lives here so every submission path shares it: a negative
-// budget was always silently accepted before (a negative Wall built a
-// context deadline in the past, i.e. an instant timeout reported as
-// TimedOut rather than rejected) — now it is KindBadRequest at
-// admission. Zero stays "unlimited" by the established convention.
-// Policy rejections — Bounded without a learned bound
-// (qos.ErrNoLearnedBound), an anytime policy without a positive
-// deadline or round quota, negative policy budgets — are KindBadRequest
-// too, with the cause wrap-checkable through the *Error.
-func (s *Service) applyQoS(op Op, name string, meta RequestMeta, ref OntologyRef, sigma *tgds.Set,
-	variant chase.Variant, maxAtoms, maxRounds int, wall time.Duration) (qos.Decision, compile.Fingerprint, error) {
-	if maxAtoms < 0 || maxRounds < 0 || wall < 0 {
-		return qos.Decision{}, compile.Fingerprint{}, wrapErr(op, name, KindBadRequest,
-			fmt.Errorf("negative budget (max-atoms %d, max-rounds %d, wall %v)", maxAtoms, maxRounds, wall))
-	}
+// admitEngine is the engine-admission tail SubmitChase and SubmitDelta
+// share (ahead of admit): it resolves the QoS policy against the
+// explicit budget — learned bounds keyed by qosFingerprint(known, σ), a
+// rejection KindBadRequest with its cause wrap-checkable — and runs the
+// job under the decision's budget; ref only labels the telemetry.
+// Anytime runs stop only between rounds, so a deadline yields a
+// whole-round prefix at any worker count; learn-mode runs record their
+// bound.
+func (s *Service) admitEngine(ctx context.Context, op Op, name string, meta RequestMeta, ref OntologyRef,
+	known compile.Fingerprint, sigma *tgds.Set, explicit qos.Budget, opts chase.Options, job func(chase.Options) rt.Job) (*Ticket, error) {
 	var fp compile.Fingerprint
 	if meta.QoS.Mode == qos.Bounded || meta.QoS.Learn {
-		fp = qosFingerprint(ref, sigma)
+		fp = qosFingerprint(known, sigma)
 	}
-	dec, err := meta.QoS.Apply(s.cache, fp, variant, maxRounds, wall)
+	dec, err := meta.QoS.Apply(s.cache, fp, opts.Variant, explicit)
 	if err != nil {
-		return qos.Decision{}, compile.Fingerprint{}, wrapErr(op, name, KindBadRequest, err)
+		return nil, wrapErr(op, name, KindBadRequest, err)
 	}
-	return dec, fp, nil
-}
-
-// applyChaseDecision folds a resolved decision into a run's options: the
-// effective round budget, round-granular interrupt polling for anytime
-// runs (a deadline stops only between rounds, so the result is a
-// whole-round prefix — deterministic at any worker count), and the
-// bound-recording observer for learn-mode runs.
-func (s *Service) applyChaseDecision(opts *chase.Options, dec qos.Decision, fp compile.Fingerprint) {
-	opts.MaxRounds = dec.MaxRounds
+	opts.MaxAtoms, opts.MaxRounds = dec.Budget.Atoms, dec.Budget.Rounds
 	opts.RoundGranularInterrupt = dec.RoundGranular()
 	if dec.Learn {
-		qos.NewRecorder(s.cache, fp, opts.Variant).Attach(opts)
+		qos.NewRecorder(s.cache, fp, opts.Variant).Attach(&opts)
 	}
+	return s.admit(ctx, op, meta, ref, sigma, dec, job(opts))
 }
 
 // Bounds exports the learned termination bounds stored for a registered
@@ -82,16 +69,15 @@ func (s *Service) StoreBounds(fp compile.Fingerprint, bounds []compile.VariantBo
 }
 
 // experimentQoS resolves the QoS policy of an experiment request: only
-// Anytime's deadline makes sense (it becomes the sweep's wall budget);
+// Anytime's deadline makes sense (it tightens the sweep's wall budget);
 // bounded and learn-mode sweeps are rejected — an experiment runs many
 // ontologies, so no single learned bound applies.
-func (s *Service) experimentQoS(name string, req *ExperimentRequest) (qos.Decision, error) {
+func experimentQoS(name string, req ExperimentRequest) (qos.Decision, error) {
 	p := req.Meta.QoS
-	if req.Wall < 0 {
-		return qos.Decision{}, wrapErr(OpExperiment, name, KindBadRequest,
-			fmt.Errorf("negative budget (wall %v)", req.Wall))
+	if err := req.budget().Validate(); err != nil {
+		return qos.Decision{}, wrapErr(OpExperiment, name, KindBadRequest, err)
 	}
-	dec := qos.Decision{Mode: p.Mode, Wall: req.Wall}
+	dec := qos.Decision{Mode: p.Mode, Budget: req.budget()}
 	if p.IsZero() {
 		return dec, nil
 	}
@@ -99,65 +85,52 @@ func (s *Service) experimentQoS(name string, req *ExperimentRequest) (qos.Decisi
 		return qos.Decision{}, wrapErr(OpExperiment, name, KindBadRequest,
 			fmt.Errorf("experiment requests accept only an anytime deadline QoS policy, not %q", p))
 	}
-	if req.Wall == 0 || p.Deadline <= req.Wall {
-		req.Wall = p.Deadline
-		dec.Wall, dec.WallSource = p.Deadline, qos.SourceDeadline
-	}
+	dec.Tighten(qos.Budget{Wall: p.Deadline}, qos.SourceDeadline)
 	dec.Deadline = p.Deadline
 	return dec, nil
 }
 
 // decideQoS resolves the QoS policy of a decide request. Only the naive
 // probe materializes a chase, so only it can serve under a policy:
-// Bounded caps the probe at the learned atom count (the round-based
-// bound does not fit the probe's atom-cap shape), Anytime's deadline
-// becomes the job's wall budget. Every other combination is rejected
-// rather than silently ignored.
-func (s *Service) decideQoS(name string, req DecideRequest, sigma *tgds.Set) (qos.Decision, DecideRequest, error) {
+// Bounded tightens the probe's atom cap to the learned atom count (the
+// round-based bound does not fit the probe's atom-cap shape), Anytime's
+// deadline tightens the job's wall budget. Every other combination is
+// rejected rather than silently ignored.
+func (s *Service) decideQoS(name string, req DecideRequest, sigma *tgds.Set) (qos.Decision, error) {
 	p := req.Meta.QoS
-	if req.AtomCap < 0 || req.Wall < 0 {
-		return qos.Decision{}, req, wrapErr(OpDecide, name, KindBadRequest,
-			fmt.Errorf("negative budget (atom-cap %d, wall %v)", req.AtomCap, req.Wall))
+	if err := req.budget().Validate(); err != nil {
+		return qos.Decision{}, wrapErr(OpDecide, name, KindBadRequest, err)
 	}
-	dec := qos.Decision{Mode: p.Mode, Wall: req.Wall}
+	dec := qos.Decision{Mode: p.Mode, Budget: req.budget()}
 	if p.IsZero() {
-		return dec, req, nil
+		return dec, nil
 	}
 	if p.Learn {
-		return qos.Decision{}, req, wrapErr(OpDecide, name, KindBadRequest,
+		return qos.Decision{}, wrapErr(OpDecide, name, KindBadRequest,
 			fmt.Errorf("bound learning rides on chase requests, not termination decisions"))
 	}
-	method := req.Method
-	if method == "" {
-		method = "syntactic"
-	}
-	if method != "naive" {
-		return qos.Decision{}, req, wrapErr(OpDecide, name, KindBadRequest,
+	if method := orDefault(req.Method, "syntactic"); method != "naive" {
+		return qos.Decision{}, wrapErr(OpDecide, name, KindBadRequest,
 			fmt.Errorf("QoS policy %q applies to the naive probe only, not method %q", p, method))
 	}
 	switch p.Mode {
 	case qos.Bounded:
 		// The naive probe materializes the paper's chase, the
 		// semi-oblivious variant; its bound is the one that applies.
-		b, ok := s.cache.Bound(qosFingerprint(req.Ontology, sigma), chase.SemiOblivious)
+		b, ok := s.cache.Bound(qosFingerprint(req.Ontology.Fingerprint, sigma), chase.SemiOblivious)
 		if !ok {
-			return qos.Decision{}, req, wrapErr(OpDecide, name, KindBadRequest,
+			return qos.Decision{}, wrapErr(OpDecide, name, KindBadRequest,
 				fmt.Errorf("%w for the naive probe (profile one with a learn-mode chase first)", qos.ErrNoLearnedBound))
 		}
 		dec.Bound = b
-		if req.AtomCap == 0 || b.Atoms < req.AtomCap {
-			req.AtomCap = b.Atoms
-		}
+		dec.Tighten(qos.Budget{Atoms: b.Atoms}, qos.SourceLearnedBound)
 	case qos.Anytime:
 		if p.Rounds > 0 || p.Deadline <= 0 {
-			return qos.Decision{}, req, wrapErr(OpDecide, name, KindBadRequest,
+			return qos.Decision{}, wrapErr(OpDecide, name, KindBadRequest,
 				fmt.Errorf("anytime termination decisions take a deadline, not a round quota"))
 		}
-		if req.Wall == 0 || p.Deadline <= req.Wall {
-			req.Wall = p.Deadline
-			dec.Wall, dec.WallSource = p.Deadline, qos.SourceDeadline
-		}
+		dec.Tighten(qos.Budget{Wall: p.Deadline}, qos.SourceDeadline)
 		dec.Deadline = p.Deadline
 	}
-	return dec, req, nil
+	return dec, nil
 }

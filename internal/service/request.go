@@ -187,6 +187,17 @@ type ChaseRequest struct {
 	Checkpoint bool
 }
 
+// Budget returns the request's explicit budget.
+func (r ChaseRequest) Budget() qos.Budget {
+	return qos.Budget{Atoms: r.MaxAtoms, Rounds: r.MaxRounds, Wall: r.Wall}
+}
+
+// SetBudget sets the request's explicit budget fields to b, the inverse
+// of Budget.
+func (r *ChaseRequest) SetBudget(b qos.Budget) {
+	r.MaxAtoms, r.MaxRounds, r.Wall = b.Atoms, b.Rounds, b.Wall
+}
+
 // DeltaRequest continues a checkpointed chase over a base-data delta —
 // the incremental re-chase serving shape: a client holds a checkpoint
 // artifact from an earlier run (Ticket.EncodeCheckpoint), new base data
@@ -230,6 +241,10 @@ type DeltaRequest struct {
 	Executor chase.Executor
 }
 
+func (r DeltaRequest) budget() qos.Budget {
+	return qos.Budget{Atoms: r.MaxAtoms, Rounds: r.MaxRounds, Wall: r.Wall}
+}
+
 // DecideRequest asks a ChTrm termination question. Method selects the
 // procedure exactly as the chtrm tool spells it: "syntactic" (default,
 // the paper's characterizations), "naive" (budgeted materialization),
@@ -251,6 +266,8 @@ type DecideRequest struct {
 	Observer chase.Observer
 }
 
+func (r DecideRequest) budget() qos.Budget { return qos.Budget{Atoms: r.AtomCap, Wall: r.Wall} }
+
 // ExperimentRequest asks for one of the paper's experiment tables.
 type ExperimentRequest struct {
 	Meta RequestMeta
@@ -266,3 +283,5 @@ type ExperimentRequest struct {
 	// (in-process only).
 	Stream io.Writer
 }
+
+func (r ExperimentRequest) budget() qos.Budget { return qos.Budget{Wall: r.Wall} }

@@ -110,9 +110,6 @@ func (s *Service) Cache() *compile.Cache { return s.cache }
 // already-warmed chase scratch (for stats surfaces).
 func (s *Service) ScratchReuses() int64 { return s.sched.ScratchReuses() }
 
-// Drain blocks until every admitted job has completed.
-func (s *Service) Drain() { s.sched.Drain() }
-
 // Close shuts the service down gracefully: admission stops, admitted
 // jobs run to completion, workers exit. A telemetry-enabled service
 // also withdraws its wire-meter registration, so codec traffic stops
@@ -214,14 +211,8 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 	if err != nil {
 		return nil, err
 	}
-	dec, fp, err := s.applyQoS(OpChase, name, req.Meta, req.Ontology, sigma,
-		req.Variant, req.MaxAtoms, req.MaxRounds, req.Wall)
-	if err != nil {
-		return nil, err
-	}
 	opts := chase.Options{
 		Variant:          req.Variant,
-		MaxAtoms:         req.MaxAtoms,
 		TrackForest:      req.TrackForest,
 		RecordDerivation: req.RecordDerivation,
 		NoSemiNaive:      req.NoSemiNaive,
@@ -229,17 +220,8 @@ func (s *Service) SubmitChase(ctx context.Context, req ChaseRequest) (*Ticket, e
 		Checkpoint:       req.Checkpoint,
 		Executor:         executor(req.Workers, req.Executor),
 	}
-	s.applyChaseDecision(&opts, dec, fp)
-	j := rt.ChaseJob(name, db, sigma, opts)
-	j.Meta, j.Wall = req.Meta.jobMeta(), dec.Wall
-	t, err := s.sched.SubmitIn(ctx, j)
-	if err != nil {
-		return nil, wrapErr(OpChase, name, KindInternal, err)
-	}
-	if s.stel != nil {
-		s.stel.observeRequest(OpChase, req.Meta, req.Ontology)
-	}
-	return s.ticket(OpChase, t, sigma, dec, req.MaxAtoms), nil
+	return s.admitEngine(ctx, OpChase, name, req.Meta, req.Ontology, req.Ontology.Fingerprint, sigma, req.Budget(), opts,
+		func(o chase.Options) rt.Job { return rt.ChaseJob(name, db, sigma, o) })
 }
 
 // SubmitDelta admits an incremental re-chase request: the checkpoint
@@ -288,16 +270,12 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 		return nil, wrapErr(OpResume, name, KindBadRequest,
 			fmt.Errorf("bound learning needs a fresh reference run, not a resumed one"))
 	}
-	// The variant and fingerprint are pinned by the checkpoint, so
-	// Bounded resolves the same learned bound the original run would
-	// (its round budget then bounds the continuation's own rounds).
-	dec, _, err := s.applyQoS(OpResume, name, req.Meta, OntologyRef{Fingerprint: cp.Fingerprint}, sigma,
-		cp.Variant, req.MaxAtoms, req.MaxRounds, req.Wall)
-	if err != nil {
-		return nil, err
-	}
+	// The variant and fingerprint are pinned by the checkpoint (Σ was
+	// validated against it), so Bounded resolves the same learned bound
+	// the original run would (its round budget then bounds the
+	// continuation's own rounds).
 	opts := chase.Options{
-		MaxAtoms:         req.MaxAtoms,
+		Variant:          cp.Variant,
 		TrackForest:      req.TrackForest,
 		RecordDerivation: req.RecordDerivation,
 		NoSemiNaive:      req.NoSemiNaive,
@@ -305,17 +283,8 @@ func (s *Service) SubmitDelta(ctx context.Context, req DeltaRequest) (*Ticket, e
 		Checkpoint:       req.Chain,
 		Executor:         executor(req.Workers, req.Executor),
 	}
-	s.applyChaseDecision(&opts, dec, cp.Fingerprint)
-	j := rt.ResumeJob(name, cp, sigma, req.Delta, opts)
-	j.Meta, j.Wall = req.Meta.jobMeta(), dec.Wall
-	t, err := s.sched.SubmitIn(ctx, j)
-	if err != nil {
-		return nil, wrapErr(OpResume, name, KindInternal, err)
-	}
-	if s.stel != nil {
-		s.stel.observeRequest(OpResume, req.Meta, req.Ontology)
-	}
-	return s.ticket(OpResume, t, sigma, dec, req.MaxAtoms), nil
+	return s.admitEngine(ctx, OpResume, name, req.Meta, req.Ontology, cp.Fingerprint, sigma, req.budget(), opts,
+		func(o chase.Options) rt.Job { return rt.ResumeJob(name, cp, sigma, req.Delta, o) })
 }
 
 // SubmitByFingerprint is SubmitChase for a remote-shaped submission: the
@@ -341,29 +310,21 @@ func (s *Service) SubmitDecide(ctx context.Context, req DecideRequest) (*Ticket,
 			return nil, err
 		}
 	}
-	dec, req, err := s.decideQoS(name, req, sigma)
+	dec, err := s.decideQoS(name, req, sigma)
 	if err != nil {
 		return nil, err
 	}
-	run, err := s.decideRun(req, db, sigma)
+	run, err := s.decideRun(req, dec.Budget, db, sigma)
 	if err != nil {
 		return nil, wrapErr(OpDecide, name, KindBadRequest, err)
 	}
-	j := rt.Job{Name: name, Meta: req.Meta.jobMeta(), Wall: req.Wall, Run: run}
-	t, err := s.sched.SubmitIn(ctx, j)
-	if err != nil {
-		return nil, wrapErr(OpDecide, name, KindInternal, err)
-	}
-	if s.stel != nil {
-		s.stel.observeRequest(OpDecide, req.Meta, req.Ontology)
-	}
-	return s.ticket(OpDecide, t, nil, dec, 0), nil
+	return s.admit(ctx, OpDecide, req.Meta, req.Ontology, nil, dec, rt.Job{Name: name, Run: run})
 }
 
-// decideRun builds the decision procedure for the request's method; the
-// verdicts are identical to calling internal/core directly (the cache is
-// a pure performance knob).
-func (s *Service) decideRun(req DecideRequest, db *logic.Instance, sigma *tgds.Set) (func(context.Context) (any, error), error) {
+// decideRun builds the decision procedure for the request's method, the
+// naive probe capped at the budget's atoms; the verdicts are identical to
+// calling internal/core directly (the cache is a pure performance knob).
+func (s *Service) decideRun(req DecideRequest, budget qos.Budget, db *logic.Instance, sigma *tgds.Set) (func(context.Context) (any, error), error) {
 	switch req.Method {
 	case "uniform":
 		return func(context.Context) (any, error) {
@@ -377,7 +338,7 @@ func (s *Service) decideRun(req DecideRequest, db *logic.Instance, sigma *tgds.S
 		exec := executor(req.Workers, nil)
 		return func(ctx context.Context) (any, error) {
 			return core.DecideNaiveOpt(db, sigma, core.NaiveOptions{
-				AtomCap:  req.AtomCap,
+				AtomCap:  budget.Atoms,
 				Executor: exec,
 				Compiler: s.cache,
 				Observer: req.Observer,
@@ -429,7 +390,7 @@ func (s *Service) SubmitExperiment(ctx context.Context, req ExperimentRequest) (
 	if err != nil {
 		return nil, wrapErr(OpExperiment, name, KindBadRequest, err)
 	}
-	dec, err := s.experimentQoS(name, &req)
+	dec, err := experimentQoS(name, req)
 	if err != nil {
 		return nil, err
 	}
@@ -439,16 +400,8 @@ func (s *Service) SubmitExperiment(ctx context.Context, req ExperimentRequest) (
 		Compiler: s.cache,
 		Stream:   req.Stream,
 	}
-	j := rt.Job{Name: name, Meta: req.Meta.jobMeta(), Wall: req.Wall,
-		Run: func(context.Context) (any, error) { return e.Run(cfg) }}
-	t, err := s.sched.SubmitIn(ctx, j)
-	if err != nil {
-		return nil, wrapErr(OpExperiment, name, KindInternal, err)
-	}
-	if s.stel != nil {
-		s.stel.observeRequest(OpExperiment, req.Meta, OntologyRef{})
-	}
-	return s.ticket(OpExperiment, t, nil, dec, 0), nil
+	return s.admit(ctx, OpExperiment, req.Meta, OntologyRef{}, nil, dec,
+		rt.Job{Name: name, Run: func(context.Context) (any, error) { return e.Run(cfg) }})
 }
 
 // Ticket is one admitted request's handle: Wait (or Done) for the typed
@@ -460,20 +413,30 @@ type Ticket struct {
 	// sigma is the resolved ontology of a chase/resume request, retained
 	// so EncodeCheckpoint can bind the artifact to it.
 	sigma *tgds.Set
-	// dec is the request's resolved QoS decision and maxAtoms its
-	// explicit atom budget: together they name the budget source of a
-	// truncated result (Result.BudgetSource) deterministically.
-	dec      qos.Decision
-	maxAtoms int
+	// dec is the request's resolved QoS decision: it names the budget
+	// source of a truncated result (Result.BudgetSource)
+	// deterministically.
+	dec qos.Decision
 	// stel bills the per-mode QoS outcome metrics exactly once per
 	// ticket (Wait may be called repeatedly); nil when telemetry is off.
 	stel    *svcTelemetry
 	qosOnce sync.Once
 }
 
-// ticket assembles a request's handle.
-func (s *Service) ticket(op Op, t *rt.Ticket, sigma *tgds.Set, dec qos.Decision, maxAtoms int) *Ticket {
-	return &Ticket{op: op, rt: t, sigma: sigma, dec: dec, maxAtoms: maxAtoms, stel: s.stel}
+// admit is the admission tail of every Submit: it runs j under the
+// request's metadata and the decision's wall budget, bills the request,
+// and returns the ticket.
+func (s *Service) admit(ctx context.Context, op Op, meta RequestMeta, ref OntologyRef, sigma *tgds.Set,
+	dec qos.Decision, j rt.Job) (*Ticket, error) {
+	j.Meta, j.Wall = meta.jobMeta(), dec.Budget.Wall
+	t, err := s.sched.SubmitIn(ctx, j)
+	if err != nil {
+		return nil, wrapErr(op, j.Name, KindInternal, err)
+	}
+	if s.stel != nil {
+		s.stel.observeRequest(op, meta, ref)
+	}
+	return &Ticket{op: op, rt: t, sigma: sigma, dec: dec, stel: s.stel}, nil
 }
 
 // Name returns the job's name.
@@ -505,7 +468,7 @@ func (t *Ticket) Progress() <-chan chase.Stats { return t.rt.Progress() }
 func (t *Ticket) Wait() Result {
 	r := resultOf(t.op, t.rt.Wait())
 	if r.Chase != nil && !r.Chase.Terminated {
-		r.BudgetSource = t.dec.TruncationSource(t.maxAtoms, r.Chase.Stats)
+		r.BudgetSource = t.dec.TruncationSource(r.Chase.Stats)
 	}
 	if t.stel != nil {
 		t.qosOnce.Do(func() { t.stel.observeQoS(t.dec, r) })

@@ -13,7 +13,7 @@ import (
 )
 
 // TestTicketSurface covers the envelope-facing accessors: names, ops,
-// indexes, meta, drains — the surface a transport renders.
+// indexes, meta — the surface a transport renders.
 func TestTicketSurface(t *testing.T) {
 	prog := parserProg(t, "p(a). p(X) -> q(X).")
 	s := newService(t, Config{Workers: 1})
@@ -31,7 +31,6 @@ func TestTicketSurface(t *testing.T) {
 	if tk.Name() != "chase" || tk.Op() != OpChase || tk.Index() != 0 {
 		t.Fatalf("ticket surface: name=%q op=%v index=%d", tk.Name(), tk.Op(), tk.Index())
 	}
-	s.Drain()
 	r := tk.Wait()
 	if r.Err != nil || r.Op != OpChase {
 		t.Fatalf("result %+v", r)

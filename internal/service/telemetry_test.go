@@ -33,33 +33,35 @@ func TestServiceRequestMetrics(t *testing.T) {
 
 	// One inline chase (tenant acme, high lane), one fingerprinted
 	// chase, one decide, one experiment.
-	if _, err := s.SubmitChase(context.Background(), ChaseRequest{
+	var tickets []*Ticket
+	admit := func(tk *Ticket, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	admit(s.SubmitChase(context.Background(), ChaseRequest{
 		Meta:     RequestMeta{Tenant: "acme", Priority: PriorityHigh},
 		Database: Payload{Instance: prog.Database},
 		Ontology: OntologyRef{Set: prog.Rules},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}))
 	h, err := s.RegisterOntology(prog.Rules)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitByFingerprint(context.Background(), h.Fingerprint,
-		Payload{Instance: prog.Database}, ChaseRequest{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SubmitDecide(context.Background(), DecideRequest{
+	admit(s.SubmitByFingerprint(context.Background(), h.Fingerprint,
+		Payload{Instance: prog.Database}, ChaseRequest{}))
+	admit(s.SubmitDecide(context.Background(), DecideRequest{
 		Database: Payload{Instance: prog.Database},
 		Ontology: OntologyRef{Set: prog.Rules},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.SubmitExperiment(context.Background(), ExperimentRequest{
+	}))
+	admit(s.SubmitExperiment(context.Background(), ExperimentRequest{
 		ID: "XP-DEPTH", Quick: true,
-	}); err != nil {
-		t.Fatal(err)
+	}))
+	for _, tk := range tickets {
+		tk.Wait()
 	}
-	s.Drain()
 
 	snap := s.Metrics()
 	for _, c := range []struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/logic"
 )
@@ -25,6 +26,15 @@ func (w *Writer) Varint(v int64) { w.Buf = binary.AppendVarint(w.Buf, v) }
 
 // Byte appends one raw byte.
 func (w *Writer) Byte(b byte) { w.Buf = append(w.Buf, b) }
+
+// Bool appends a 0/1 byte; Reader.Enum(2, …) reads it back.
+func (w *Writer) Bool(b bool) {
+	if b {
+		w.Byte(1)
+	} else {
+		w.Byte(0)
+	}
+}
 
 // Raw appends bytes with no length prefix.
 func (w *Writer) Raw(b []byte) { w.Buf = append(w.Buf, b...) }
@@ -158,6 +168,26 @@ func (r *Reader) Byte(what string) (byte, error) {
 	b := r.data[r.pos]
 	r.pos++
 	return b, nil
+}
+
+// Enum reads one byte that must be below n: an enum tag, or a Bool
+// when n is 2.
+func (r *Reader) Enum(n byte, what string) (byte, error) {
+	b, err := r.Byte(what)
+	if err == nil && b >= n {
+		err = fmt.Errorf("%w: unknown %s %d", r.sentinel, what, b)
+	}
+	return b, err
+}
+
+// Duration reads a uvarint nanosecond count no larger than
+// math.MaxInt64; Writer.Uvarint(uint64(d)) writes one.
+func (r *Reader) Duration(what string) (time.Duration, error) {
+	v, err := r.Uvarint(what)
+	if err == nil && v > math.MaxInt64 {
+		err = fmt.Errorf("%w: %s %d out of range", r.sentinel, what, v)
+	}
+	return time.Duration(v), err
 }
 
 // Raw reads n bytes with no length prefix. The result aliases the
