@@ -17,6 +17,7 @@
 package chase
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/logic"
@@ -107,12 +108,13 @@ type Options struct {
 	// worker goroutine. Results are byte-identical with and without it.
 	Scratch *Scratch
 	// Compile, when non-nil, supplies the run's compiled per-TGD programs
-	// (head programs and per-seed body programs) instead of compiling them
-	// inside the run; internal/compile.Cache implements it as a
-	// cross-request cache. The run records whether the fetch was a cache
-	// hit in Stats.CompileHits/CompileMisses and is byte-identical either
-	// way. A set that fails the CompiledSet.Matches safety check is
-	// discarded (counted as a miss) and the run compiles cold.
+	// (head programs and per-seed body programs); internal/compile.Cache
+	// implements it as a cross-request cache. Every run executes a
+	// CompiledSet: without a Compiler the run compiles its own once, up
+	// front. The run records whether the fetch was a cache hit in
+	// Stats.CompileHits/CompileMisses and is byte-identical either way. A
+	// set that fails the CompiledSet.Matches safety check is discarded
+	// (counted as a miss) and the run compiles its own.
 	Compile Compiler
 	// Checkpoint requests that the run's resumable state — the fired-
 	// trigger set, the null factory's high-water mark, and the unprocessed
@@ -208,18 +210,19 @@ func newEngine(inst *logic.Instance, sigma *tgds.Set, opts Options, nullBase int
 	}
 	if opts.Compile != nil {
 		cs, hit := opts.Compile.CompiledChase(sigma)
-		if cs.Matches(sigma) {
-			e.compiled = cs
-			if hit {
-				e.compileHits = 1
-			} else {
-				e.compileMisses = 1
-			}
-		} else {
+		switch {
+		case !cs.Matches(sigma):
 			// The compiler served programs for a different clause sequence;
-			// using them would corrupt the run, so compile cold instead.
+			// using them would corrupt the run, so the run compiles its own.
 			e.compileMisses = 1
+		case hit:
+			e.compiled, e.compileHits = cs, 1
+		default:
+			e.compiled, e.compileMisses = cs, 1
 		}
+	}
+	if e.compiled == nil {
+		e.compiled = Compile(sigma)
 	}
 	if opts.TrackForest {
 		e.forest = newForest(e.inst.Atoms())
@@ -280,8 +283,7 @@ type engine struct {
 	// interner, matcher, atom arena, trigger slabs, and work buffers —
 	// either private to this run or pooled by the caller (Options.Scratch).
 	sc         *Scratch
-	heads      [][]headAtom // per-TGD compiled head programs, by TGD id
-	compiled   *CompiledSet // shared precompiled programs (nil: compile lazily)
+	compiled   *CompiledSet // the run's head and body programs (never nil)
 	forest     *Forest
 	derivation *Derivation
 	initial    int
@@ -427,14 +429,13 @@ func (e *engine) collect(deltaStart int) []pendingTrigger {
 			pending = append(pending, e.buildPending(t, ti, key, m, &e.sc.slabs))
 			return true
 		}
-		if ds >= 0 && e.compiled != nil {
-			// Shared precompiled per-seed body programs; enumeration order
-			// is identical to the fresh compile (logic.BodyProgram).
+		if ds >= 0 {
 			e.sc.matcher.MatchAllProgs(e.compiled.bodies[ti], e.inst, ds, yield)
 		} else {
 			// Round 1 and NoSemiNaive enumerate the full instance; that
-			// join order is chosen per instance, so it is never cached.
-			e.sc.matcher.MatchAllExt(t.Body, e.inst, ds, yield)
+			// join order is chosen per instance, so it is never compiled
+			// ahead.
+			e.sc.matcher.MatchAllExt(t.Body, e.inst, yield)
 		}
 		if e.stop {
 			break
@@ -569,32 +570,29 @@ func compileHead(t *tgds.TGD) []headAtom {
 	for i, z := range t.Existential() {
 		exIDs[i] = logic.IDOf(z)
 	}
+	n := 0
+	for _, a := range t.Head {
+		n += len(a.Args)
+	}
+	args := make([]headArg, n) // one arena for every head atom's arguments
 	prog := make([]headAtom, len(t.Head))
 	for ai, a := range t.Head {
-		ha := headAtom{pred: a.Pred, pid: a.PredID(), args: make([]headArg, len(a.Args))}
+		ha := headAtom{pred: a.Pred, pid: a.PredID(), args: args[:len(a.Args):len(a.Args)]}
+		args = args[len(a.Args):]
 		for i, trm := range a.Args {
 			id := a.ArgID(i)
 			if id >= 0 {
 				ha.args[i] = headArg{src: headGround, term: trm, id: id}
-			} else if fi := indexOf32(frIDs, id); fi >= 0 {
+			} else if fi := slices.Index(frIDs, id); fi >= 0 {
 				ha.args[i] = headArg{src: headFrontier, idx: int32(fi)}
 			} else {
 				// A head variable is frontier or existential by definition.
-				ha.args[i] = headArg{src: headNull, idx: int32(indexOf32(exIDs, id))}
+				ha.args[i] = headArg{src: headNull, idx: int32(slices.Index(exIDs, id))}
 			}
 		}
 		prog[ai] = ha
 	}
 	return prog
-}
-
-func indexOf32(ids []int32, id int32) int {
-	for i, x := range ids {
-		if x == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // instantiateHead computes result(σ, h): head atoms with frontier
@@ -603,19 +601,7 @@ func indexOf32(ids []int32, id int32) int {
 // ⊥^z_{σ, h}) is realized as the interned integer tuple (TGD id,
 // existential index, key-variable image ids).
 func (e *engine) instantiateHead(p pendingTrigger) []*logic.Atom {
-	var prog []headAtom
-	if e.compiled != nil {
-		prog = e.compiled.heads[p.tgdIdx]
-	} else {
-		if e.heads == nil {
-			e.heads = make([][]headAtom, len(e.sigma.TGDs))
-		}
-		prog = e.heads[p.tgdIdx]
-		if prog == nil {
-			prog = compileHead(p.tgd)
-			e.heads[p.tgdIdx] = prog
-		}
-	}
+	prog := e.compiled.heads[p.tgdIdx]
 	depth := 1
 	for _, t := range p.frImgs {
 		if d := logic.TermDepth(t); d+1 > depth {

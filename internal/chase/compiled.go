@@ -2,13 +2,13 @@ package chase
 
 // Compiled programs. Everything the engine derives from the TGD set alone
 // — per-TGD head programs and per-(TGD, seed position) body programs — is
-// instance-independent, so a fleet of runs sharing Σ can pay the analysis
-// once. CompiledSet freezes those artifacts into an immutable value;
-// Options.Compile lets a run fetch one from a cross-request cache
-// (internal/compile) instead of recompiling. A run with a compiled set is
-// byte-identical to a cold run: head programs are the ones compileHead
-// would build, and body programs reproduce the matcher's fresh-compile
-// enumeration order exactly (see logic.BodyProgram).
+// instance-independent. CompiledSet freezes those artifacts into an
+// immutable value, and every run executes one: it compiles its own once,
+// up front, or, through Options.Compile, fetches one from a cross-request
+// cache (internal/compile) so that runs sharing Σ pay the analysis once.
+// The programs fix the run's head instantiation and semi-naive enumeration
+// order (see logic.BodyProgram), so a run is byte-identical whichever way
+// its set was obtained.
 
 import (
 	"repro/internal/logic"
@@ -26,7 +26,8 @@ type CompiledSet struct {
 }
 
 // Compile builds the compiled artifacts for every TGD of the set: the head
-// program (compileHead) and one body program per seed position.
+// program (compileHead) and one body program per seed position
+// (logic.Matcher.CompileBody, on one scratch Matcher for the whole set).
 func Compile(sigma *tgds.Set) *CompiledSet {
 	cs := &CompiledSet{
 		sigma:  sigma,
@@ -34,14 +35,11 @@ func Compile(sigma *tgds.Set) *CompiledSet {
 		heads:  make([][]headAtom, len(sigma.TGDs)),
 		bodies: make([][]*logic.BodyProgram, len(sigma.TGDs)),
 	}
+	var mm logic.Matcher
 	for i, t := range sigma.TGDs {
 		cs.keys[i] = t.Key()
 		cs.heads[i] = compileHead(t)
-		progs := make([]*logic.BodyProgram, len(t.Body))
-		for seed := range t.Body {
-			progs[seed] = logic.CompileBodySeed(t.Body, seed)
-		}
-		cs.bodies[i] = progs
+		cs.bodies[i] = mm.CompileBody(t.Body)
 	}
 	return cs
 }
@@ -52,7 +50,7 @@ func Compile(sigma *tgds.Set) *CompiledSet {
 // fingerprint-equal but reordered or α-renamed set does NOT match: head
 // programs address frontier positions and null keys by this set's clause
 // indexes and variable order, so reusing them would silently corrupt the
-// run. Run re-checks this and falls back to a cold compile on mismatch.
+// run. Run re-checks this and compiles its own set on mismatch.
 func (cs *CompiledSet) Matches(sigma *tgds.Set) bool {
 	if cs == nil || sigma == nil {
 		return false
@@ -73,7 +71,7 @@ func (cs *CompiledSet) Matches(sigma *tgds.Set) bool {
 
 // Compiler supplies compiled sets to chase runs; internal/compile.Cache is
 // the standard implementation. CompiledChase must return a set for which
-// cs.Matches(sigma) holds (Run verifies and degrades to a cold compile
+// cs.Matches(sigma) holds (Run verifies and compiles its own set
 // otherwise, counting a miss); hit reports whether the set was served from
 // cache rather than compiled for this call. Implementations must be safe
 // for concurrent use: a scheduler fleet calls them from many jobs at once.

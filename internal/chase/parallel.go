@@ -3,21 +3,23 @@ package chase
 // Parallel trigger collection. Each round's candidate space is sharded
 // into (TGD index, seed body position, window) tasks that an Executor
 // runs across a worker pool. For semi-naive rounds the windows slice the
-// delta [deltaStart, inst.Len()) of the standard decomposition; for
-// round 1 (deltaStart < 0), where every atom is new, each TGD is sharded
-// by windowing the insertion sequence of its join-start atom — the body
+// delta [deltaStart, inst.Len()) of the standard decomposition, and each
+// task runs the run's shared, read-only body program for its (TGD, seed)
+// (logic.BodyProgram), which many workers install at once; for round 1
+// (deltaStart < 0), where every atom is new, each TGD is sharded by
+// windowing the insertion sequence of its join-start atom — the body
 // position the sequential full enumeration places first in the join (see
 // logic.JoinStart) — over the whole instance. Workers only read: the
 // instance (immutable between rounds, see the logic.Instance contract),
-// the fired-trigger interner (probed with the read-only Has), and the
-// symbol table (lock-free). Each worker owns a reusable logic.Matcher and
-// trigger slabs and emits candidate triggers into the task's own buffer;
-// the merge then walks the buffers in task order — which, by the
-// MatchShard/MatchShardFull order-compatibility guarantees, is exactly
-// the order the sequential engine enumerates — and interns trigger keys
-// so that the surviving pending list, and hence the applied chase
-// sequence, CanonicalKey, forest, and derivation, are byte-identical to
-// the sequential engine's for all three variants.
+// the body programs, the fired-trigger interner (probed with the
+// read-only Has), and the symbol table (lock-free). Each worker owns a
+// reusable logic.Matcher and trigger slabs and emits candidate triggers
+// into the task's own buffer; the merge then walks the buffers in task
+// order — which, by the MatchShardProg/MatchShardFull order-compatibility
+// guarantees, is exactly the order the sequential engine enumerates — and
+// interns trigger keys so that the surviving pending list, and hence the
+// applied chase sequence, CanonicalKey, forest, and derivation, are
+// byte-identical to the sequential engine's for all three variants.
 //
 // Window widths adapt to observed trigger density: a round that yielded
 // many candidate triggers per delta atom gets narrower windows next round
@@ -267,15 +269,13 @@ func (e *engine) collectShard(t collectTask, w *collectWorker, out *[]shardCand,
 	case t.seed < 0:
 		// Empty-body singleton: delegate to the unrestricted enumeration,
 		// whose empty-body path yields the one empty match.
-		w.matcher.MatchAllExt(tgd.Body, e.inst, -1, yield)
+		w.matcher.MatchAllExt(tgd.Body, e.inst, yield)
 	case t.full:
 		w.matcher.MatchShardFull(tgd.Body, e.inst, t.seed, t.lo, t.hi, yield)
-	case e.compiled != nil:
+	default:
 		// The shared program is read-only; per-worker matchers install it
 		// concurrently and keep their bindings in their own slot arrays.
 		w.matcher.MatchShardProg(e.compiled.bodies[t.tgdIdx][t.seed], e.inst, deltaStart, t.lo, t.hi, yield)
-	default:
-		w.matcher.MatchShard(tgd.Body, e.inst, deltaStart, t.seed, t.lo, t.hi, yield)
 	}
 }
 

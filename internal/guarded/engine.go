@@ -120,7 +120,7 @@ func (e *Engine) deriveOver(atoms *logic.Instance, keep map[int32]bool) []*logic
 	var additions []*logic.Atom
 	for _, t := range e.sigma.TGDs {
 		t := t
-		e.matcher.MatchAllExt(t.Body, atoms, -1, func(m *logic.Match) bool {
+		e.matcher.MatchAllExt(t.Body, atoms, func(m *logic.Match) bool {
 			mu := m.Substitution()
 			for _, z := range t.Existential() {
 				mu[z] = e.nextPlaceholder()

@@ -145,7 +145,7 @@ func (l *Linearizer) linearizeType(info *TypeInfo) ([]*tgds.TGD, []*TypeInfo, er
 	for _, sig := range l.sigma.TGDs {
 		guard := sig.Guard()
 		var homs []logic.Substitution
-		logic.MatchAll(sig.Body, tatoms, -1, func(h logic.Substitution) bool {
+		logic.MatchAll(sig.Body, tatoms, func(h logic.Substitution) bool {
 			if h.ApplyAtom(guard).Equal(t.Guard) {
 				homs = append(homs, h.Clone())
 			}

@@ -17,8 +17,8 @@ import (
 //
 // Concurrency contract: an Instance is not safe for concurrent mutation,
 // but while no Add runs, every read — Atoms, Len, Seq, Has, HasIDs,
-// Canonical, ByPred, AtPosition, AppendWithin, and homomorphism search
-// over the instance — may be issued from many goroutines simultaneously.
+// Canonical, ByPred, AppendWithin, and homomorphism search over the
+// instance — may be issued from many goroutines simultaneously.
 // The parallel chase collector relies on this: rounds alternate a
 // read-only matching phase (sharded across workers) with a
 // single-goroutine apply phase that mutates the instance. Atom.Key() and
@@ -181,21 +181,6 @@ func (in *Instance) HasDeltaFor(pid int32, deltaStart int) bool {
 	return len(list) > 0 && in.seq[list[len(list)-1]] >= deltaStart
 }
 
-// AtPosition returns the atoms that carry the given term at the given
-// 0-based argument position of the predicate.
-func (in *Instance) AtPosition(p Predicate, pos int, t Term) []*Atom {
-	// Lookup only: probing for absent symbols must not intern them.
-	pid, ok := lookupPredID(p)
-	if !ok {
-		return nil
-	}
-	tid, ok := lookupTermID(t)
-	if !ok {
-		return nil
-	}
-	return in.index[posTermKey{pred: pid, pos: int32(pos), term: tid}]
-}
-
 // AppendWithin appends to dst the atoms whose argument ids all lie in the
 // term-id set dom, in unspecified order, and returns the extended slice.
 // It is meant for small dom (a guard atom's terms). An atom of positive
@@ -230,7 +215,8 @@ func (in *Instance) AppendWithin(dst []*Atom, dom []int32) []*Atom {
 	return dst
 }
 
-// atPositionID is AtPosition on interned ids.
+// atPositionID returns the atoms that carry the term (by interned id) at
+// the given 0-based argument position of the predicate (by interned id).
 func (in *Instance) atPositionID(pid, pos, term int32) []*Atom {
 	return in.index[posTermKey{pred: pid, pos: pos, term: term}]
 }

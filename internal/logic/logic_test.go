@@ -137,8 +137,8 @@ func TestInstanceBasics(t *testing.T) {
 	if got := len(in.ByPred(Predicate{Name: "R", Arity: 2})); got != 1 {
 		t.Fatalf("ByPred = %d atoms", got)
 	}
-	if got := len(in.AtPosition(Predicate{Name: "R", Arity: 2}, 0, Constant("a"))); got != 1 {
-		t.Fatalf("AtPosition = %d atoms", got)
+	if got := len(in.atPositionID(a.pid, 0, a.ids[0])); got != 1 {
+		t.Fatalf("position index = %d atoms", got)
 	}
 	if got := len(in.ActiveDomain()); got != 2 {
 		t.Fatalf("active domain size = %d", got)
@@ -165,7 +165,7 @@ func TestMatchAllSimpleJoin(t *testing.T) {
 	x, y := Variable("X"), Variable("Y")
 	body := []*Atom{MakeAtom("R", x, y), MakeAtom("S", y)}
 	var results []string
-	MatchAll(body, in, -1, func(s Substitution) bool {
+	MatchAll(body, in, func(s Substitution) bool {
 		results = append(results, s.String())
 		return true
 	})
@@ -184,7 +184,7 @@ func TestMatchAllRepeatedVariable(t *testing.T) {
 	)
 	x := Variable("X")
 	count := 0
-	MatchAll([]*Atom{MakeAtom("R", x, x)}, in, -1, func(Substitution) bool {
+	MatchAll([]*Atom{MakeAtom("R", x, x)}, in, func(Substitution) bool {
 		count++
 		return true
 	})
@@ -200,7 +200,7 @@ func TestMatchAllConstantInPattern(t *testing.T) {
 	)
 	y := Variable("Y")
 	count := 0
-	MatchAll([]*Atom{MakeAtom("R", Constant("a"), y)}, in, -1, func(Substitution) bool {
+	MatchAll([]*Atom{MakeAtom("R", Constant("a"), y)}, in, func(Substitution) bool {
 		count++
 		return true
 	})
@@ -209,9 +209,9 @@ func TestMatchAllConstantInPattern(t *testing.T) {
 	}
 }
 
-// TestMatchAllDelta checks the semi-naive decomposition: every
-// homomorphism touching the delta is produced exactly once, and none that
-// map entirely into the old portion.
+// TestMatchAllDelta checks the semi-naive decomposition the body programs
+// implement: every homomorphism touching the delta is produced exactly
+// once, and none that map entirely into the old portion.
 func TestMatchAllDelta(t *testing.T) {
 	in := NewInstance()
 	in.Add(MakeAtom("E", Constant("a"), Constant("b")))
@@ -223,8 +223,9 @@ func TestMatchAllDelta(t *testing.T) {
 	body := []*Atom{MakeAtom("E", x, y), MakeAtom("E", y, z)}
 
 	seen := map[string]int{}
-	MatchAll(body, in, deltaStart, func(s Substitution) bool {
-		seen[s.String()]++
+	var mm Matcher
+	mm.MatchAllProgs(mm.CompileBody(body), in, deltaStart, func(m *Match) bool {
+		seen[m.Substitution().String()]++
 		return true
 	})
 	// Full join yields (a,b,c) and (b,c,d); only (b,c,d) touches delta.
@@ -241,57 +242,77 @@ func TestMatchAllDelta(t *testing.T) {
 	}
 }
 
-// TestMatchDeltaEquivalence property: for random small graphs, the set of
-// delta matches equals full matches minus old-only matches.
+// TestMatchDeltaEquivalence property: for random small instances and each
+// body of the random matcher harness (matchBodies), the semi-naive matches
+// equal the full matches minus the old-only matches, each produced exactly
+// once.
 func TestMatchDeltaEquivalence(t *testing.T) {
-	f := func(edges [][2]uint8, split uint8) bool {
+	bodies := matchBodies()
+	var mm Matcher
+	progs := make([][]*BodyProgram, len(bodies))
+	for bi, body := range bodies {
+		progs[bi] = mm.CompileBody(body)
+	}
+	f := func(edges [][2]uint8, marks []uint8, split uint8) bool {
 		if len(edges) > 12 {
 			edges = edges[:12]
 		}
-		old := NewInstance()
-		full := NewInstance()
-		for i, e := range edges {
-			a := MakeAtom("E", Constant(string('a'+rune(e[0]%4))), Constant(string('a'+rune(e[1]%4))))
-			full.Add(a)
-			if i < int(split)%(len(edges)+1) {
-				old.Add(a)
+		if len(marks) > 6 {
+			marks = marks[:6]
+		}
+		name := func(c uint8) Term { return Constant(string('a' + rune(c%4))) }
+		var atoms []*Atom
+		for i := 0; i < len(edges) || i < len(marks); i++ {
+			if i < len(edges) {
+				atoms = append(atoms, MakeAtom("e", name(edges[i][0]), name(edges[i][1])))
+			}
+			if i < len(marks) {
+				atoms = append(atoms, MakeAtom("p", name(marks[i])))
 			}
 		}
-		// Rebuild full so old atoms come first (matching sequence order).
+		old := NewInstance()
+		for _, a := range atoms[:int(split)%(len(atoms)+1)] {
+			old.Add(a)
+		}
+		// Rebuild the full instance so old atoms come first (matching
+		// sequence order).
 		combined := NewInstance()
 		for _, a := range old.Atoms() {
 			combined.Add(a)
 		}
 		deltaStart := combined.Len()
-		for _, a := range full.Atoms() {
+		for _, a := range atoms {
 			combined.Add(a)
 		}
-		x, y, z := Variable("X"), Variable("Y"), Variable("Z")
-		body := []*Atom{MakeAtom("E", x, y), MakeAtom("E", y, z)}
-		want := map[string]bool{}
-		MatchAll(body, combined, -1, func(s Substitution) bool {
-			want[s.String()] = true
-			return true
-		})
-		MatchAll(body, old, -1, func(s Substitution) bool {
-			delete(want, s.String())
-			return true
-		})
-		got := map[string]bool{}
-		MatchAll(body, combined, deltaStart, func(s Substitution) bool {
-			if got[s.String()] {
-				t.Logf("duplicate delta match %s", s)
+		for bi, body := range bodies {
+			want := map[string]bool{}
+			MatchAll(body, combined, func(s Substitution) bool {
+				want[s.String()] = true
+				return true
+			})
+			MatchAll(body, old, func(s Substitution) bool {
+				delete(want, s.String())
+				return true
+			})
+			got := map[string]bool{}
+			dup := false
+			mm.MatchAllProgs(progs[bi], combined, deltaStart, func(m *Match) bool {
+				k := m.Substitution().String()
+				if got[k] {
+					t.Logf("body %v: duplicate delta match %s", body, k)
+					dup = true
+					return false
+				}
+				got[k] = true
+				return true
+			})
+			if dup || len(got) != len(want) {
 				return false
 			}
-			got[s.String()] = true
-			return true
-		})
-		if len(got) != len(want) {
-			return false
-		}
-		for k := range want {
-			if !got[k] {
-				return false
+			for k := range want {
+				if !got[k] {
+					return false
+				}
 			}
 		}
 		return true

@@ -1,32 +1,46 @@
 package logic
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file implements homomorphism search: finding all substitutions h
 // from a conjunction of atoms (a TGD body, a query) into an instance such
 // that h maps every body atom onto some instance atom. It is a
-// backtracking join with index-based candidate selection and optional
-// semi-naive delta restriction. The join runs entirely on interned symbol
-// ids: body atoms are compiled to per-argument codes (a ground id or a
-// variable slot), bindings live in flat slot arrays, and unification is
-// int32 comparison — no Term.Key() string is built or compared.
+// backtracking join with index-based candidate selection. The join runs
+// entirely on interned symbol ids: body atoms are compiled to per-argument
+// codes (a ground id or a variable slot), bindings live in flat slot
+// arrays, and unification is int32 comparison — no Term.Key() string is
+// built or compared. This file holds the full enumeration, whose join
+// order is chosen per instance; semi-naive (delta-restricted) enumeration
+// runs precompiled per-seed programs (program.go) on the same matcher.
 
 // MatchAll enumerates every homomorphism from body into inst and calls
 // yield for each. Enumeration stops early when yield returns false. Each
 // yielded Substitution is freshly allocated and owned by the consumer.
 //
-// If deltaStart >= 0, only homomorphisms that use at least one atom with
-// insertion sequence >= deltaStart are produced, and each such
-// homomorphism is produced exactly once (the standard semi-naive
-// decomposition: the i-th body atom is the first to land in the delta).
-// Pass deltaStart < 0 to enumerate against the full instance.
-//
 // The body atoms may contain variables, constants, nulls and fresh terms;
 // non-variable terms must match instance terms exactly.
-func MatchAll(body []*Atom, inst *Instance, deltaStart int, yield func(Substitution) bool) {
-	MatchAllExt(body, inst, deltaStart, func(m *Match) bool {
+func MatchAll(body []*Atom, inst *Instance, yield func(Substitution) bool) {
+	var mm Matcher
+	mm.MatchAllExt(body, inst, func(m *Match) bool {
 		return yield(m.Substitution())
 	})
+}
+
+// Matcher amortizes the compiled-body buffers of homomorphism search
+// across calls. The zero value is ready to use; a Matcher is not safe for
+// concurrent use and must not be re-entered from a yield callback.
+type Matcher struct{ m matcher }
+
+// reset readies the matcher for one enumeration over inst.
+func (mm *Matcher) reset(inst *Instance) *matcher {
+	m := &mm.m
+	m.view.m = m
+	m.inst = inst
+	m.stopped = false
+	return m
 }
 
 // MatchAllExt is MatchAll with id-level access to each match: the yielded
@@ -34,111 +48,28 @@ func MatchAll(body []*Atom, inst *Instance, deltaStart int, yield func(Substitut
 // lets the chase build its integer trigger keys without materializing a
 // Substitution for triggers that turn out to be duplicates. The *Match is
 // only valid during the yield call.
-func MatchAllExt(body []*Atom, inst *Instance, deltaStart int, yield func(*Match) bool) {
-	var mm Matcher
-	mm.MatchAllExt(body, inst, deltaStart, yield)
-}
-
-// Matcher amortizes the compiled-body buffers of MatchAllExt across calls.
-// The zero value is ready to use; a Matcher is not safe for concurrent use
-// and must not be re-entered from a yield callback.
-type Matcher struct{ m matcher }
-
-// MatchAllExt behaves like the package-level MatchAllExt, reusing the
-// Matcher's buffers.
-func (mm *Matcher) MatchAllExt(body []*Atom, inst *Instance, deltaStart int, yield func(*Match) bool) {
-	m := &mm.m
-	m.view.m = m
-	m.inst = inst
-	m.stopped = false
+func (mm *Matcher) MatchAllExt(body []*Atom, inst *Instance, yield func(*Match) bool) {
+	m := mm.reset(inst)
 	if len(body) == 0 {
 		m.slotVar = m.slotVar[:0]
 		m.slotID = m.slotID[:0]
 		yield(&m.view)
 		return
 	}
-	if deltaStart < 0 {
-		m.compile(body, m.anyAgeCons(len(body)), -1)
-		m.run(yield)
-		return
-	}
-	// Semi-naive: for each seed position, body[0..seed-1] must map to old
-	// atoms, body[seed] to a delta atom, the rest anywhere. The join is
-	// evaluated seed-first so every round's work is proportional to the
-	// delta, not the instance. The matcher (and its compile buffers) is
-	// reused across seeds.
-	cons := m.anyAgeCons(len(body))
-	for seed := range body {
-		// The seed atom must land in the delta; if its predicate gained no
-		// atoms this round there is nothing to enumerate.
-		if !inst.HasDeltaFor(body[seed].pid, deltaStart) {
-			continue
-		}
-		m.seedConstraints(cons, seed, deltaStart, deltaStart, maxSeq)
-		m.compile(body, cons, seed)
-		if !m.run(yield) {
-			return
-		}
-	}
+	m.compile(body, m.anyAgeCons(len(body)), -1)
+	m.run(yield)
 }
 
 // maxSeq is an insertion sequence beyond any real atom (an open upper
 // window bound).
 const maxSeq = int(^uint(0) >> 1)
 
-// seedConstraints fills cons for the semi-naive decomposition with the
-// given seed: atoms before the seed must predate deltaStart, the seed's
-// image must have insertion sequence in [lo, hi), later atoms are free.
-func (m *matcher) seedConstraints(cons []deltaConstraint, seed, deltaStart, lo, hi int) {
-	for i := range cons {
-		switch {
-		case i < seed:
-			cons[i] = deltaConstraint{mode: mustBeOld, bound: deltaStart}
-		case i == seed:
-			cons[i] = deltaConstraint{mode: mustBeNew, bound: lo, hi: hi}
-		default:
-			cons[i] = deltaConstraint{}
-		}
-	}
-}
-
-// MatchShard enumerates one shard of the deltaStart-restricted enumeration
-// of MatchAllExt: the homomorphisms whose semi-naive seed atom is
-// body[seed] and whose seed image has insertion sequence in [lo, hi).
-//
-// Sharding is exact and order-compatible: partitioning [deltaStart,
-// inst.Len()) into windows for every seed position partitions the
-// homomorphisms MatchAllExt yields, and concatenating the shards by
-// (seed, lo) reproduces MatchAllExt's yield order exactly — candidate
-// lists are in insertion order, so the seed atom (placed first in the
-// join) walks its window in the same relative order the full enumeration
-// would. The parallel chase collector relies on this to merge per-shard
-// trigger buffers back into the sequential engine's order.
-//
-// MatchShard only reads the instance, so distinct Matchers may shard the
-// same instance concurrently (see the Instance concurrency contract). It
-// returns false when yield stopped the enumeration.
-func (mm *Matcher) MatchShard(body []*Atom, inst *Instance, deltaStart, seed, lo, hi int, yield func(*Match) bool) bool {
-	m := &mm.m
-	m.view.m = m
-	m.inst = inst
-	m.stopped = false
-	if len(body) == 0 || seed < 0 || seed >= len(body) {
-		return true // no seed space: the empty body matches in no shard
-	}
-	cons := m.anyAgeCons(len(body))
-	m.seedConstraints(cons, seed, deltaStart, lo, hi)
-	m.compile(body, cons, seed)
-	return m.run(yield)
-}
-
 // JoinStart returns the body position MatchAllExt's full enumeration
-// (deltaStart < 0) places first in the join — the atom whose predicate has
-// the fewest atoms in inst, first minimum winning — together with that
-// candidate count. It exposes orderBody's start selection so the parallel
-// collector can shard the full enumeration on the same start atom; a zero
-// candidate count means the enumeration is empty. start is -1 for an
-// empty body.
+// places first in the join — the atom whose predicate has the fewest
+// atoms in inst, first minimum winning — together with that candidate
+// count. It exposes orderBody's start selection so the parallel collector
+// can shard the full enumeration on the same start atom; a zero candidate
+// count means the enumeration is empty. start is -1 for an empty body.
 func JoinStart(body []*Atom, inst *Instance) (start, candidates int) {
 	if len(body) == 0 {
 		return -1, 0
@@ -153,25 +84,22 @@ func JoinStart(body []*Atom, inst *Instance) (start, candidates int) {
 	return start, best
 }
 
-// MatchShardFull enumerates one shard of the full enumeration of
-// MatchAllExt(deltaStart < 0): the homomorphisms whose image of body[seed]
-// has insertion sequence in [lo, hi). seed must be JoinStart(body, inst),
-// so the join order is exactly the one the full enumeration compiles, and
-// the window constraint only slices the start atom's insertion-ordered
-// candidate lists — hence partitioning [0, inst.Len()) into windows
-// partitions the full enumeration, and concatenating the shards by lo
-// reproduces its yield order exactly (the same order-compatibility
-// argument as MatchShard, without the semi-naive old/new constraints).
+// MatchShardFull enumerates one shard of MatchAllExt's full enumeration:
+// the homomorphisms whose image of body[seed] has insertion sequence in
+// [lo, hi). seed must be JoinStart(body, inst), so the join order is
+// exactly the one the full enumeration compiles, and the window constraint
+// only slices the start atom's insertion-ordered candidate lists — hence
+// partitioning [0, inst.Len()) into windows partitions the full
+// enumeration, and concatenating the shards by lo reproduces its yield
+// order exactly (the same order-compatibility argument as MatchShardProg,
+// without the semi-naive old/new constraints).
 // The parallel chase collector uses it to shard round 1, where every
 // homomorphism is new.
 //
-// Like MatchShard it only reads the instance, so distinct Matchers may
+// Like MatchShardProg it only reads the instance, so distinct Matchers may
 // shard concurrently. It returns false when yield stopped the enumeration.
 func (mm *Matcher) MatchShardFull(body []*Atom, inst *Instance, seed, lo, hi int, yield func(*Match) bool) bool {
-	m := &mm.m
-	m.view.m = m
-	m.inst = inst
-	m.stopped = false
+	m := mm.reset(inst)
 	if len(body) == 0 || seed < 0 || seed >= len(body) {
 		return true // no seed space: the empty body matches in no shard
 	}
@@ -201,9 +129,9 @@ func (m *matcher) anyAgeCons(n int) []deltaConstraint {
 // keeps its delta constraint.
 func (m *matcher) orderBody(body []*Atom, cons []deltaConstraint, start int) {
 	n := len(body)
-	m.body = m.body[:0]
-	m.constraints = m.constraints[:0]
-	m.ordPerm = m.ordPerm[:0]
+	m.body = slices.Grow(m.body[:0], n)
+	m.constraints = slices.Grow(m.constraints[:0], n)
+	m.ordPerm = slices.Grow(m.ordPerm[:0], n)
 	if n == 1 {
 		m.body = append(m.body, body[0])
 		m.constraints = append(m.constraints, cons[0])
@@ -228,7 +156,11 @@ func (m *matcher) orderBody(body []*Atom, cons []deltaConstraint, start int) {
 			m.ordUsed[i] = false
 		}
 	}
-	m.ordSeen = m.ordSeen[:0]
+	args := 0
+	for _, a := range body {
+		args += len(a.ids)
+	}
+	m.ordSeen = slices.Grow(m.ordSeen[:0], args) // at most one id per argument
 	place := func(i int) {
 		m.ordUsed[i] = true
 		m.body = append(m.body, body[i])
@@ -276,7 +208,7 @@ func containsID(ids []int32, id int32) bool {
 // exists.
 func FindOne(body []*Atom, inst *Instance) Substitution {
 	var found Substitution
-	MatchAll(body, inst, -1, func(s Substitution) bool {
+	MatchAll(body, inst, func(s Substitution) bool {
 		found = s
 		return false
 	})
@@ -293,7 +225,7 @@ func ExtendOne(body []*Atom, inst *Instance, base Substitution) Substitution {
 		pre[i] = base.ApplyAtom(a)
 	}
 	var found Substitution
-	MatchAll(pre, inst, -1, func(s Substitution) bool {
+	MatchAll(pre, inst, func(s Substitution) bool {
 		found = s
 		return false
 	})
@@ -345,7 +277,7 @@ type matcher struct {
 
 	// borrowed marks that body/code/slotVar/slotID point into a shared
 	// read-only BodyProgram rather than the matcher's own buffers; the next
-	// fresh compile must drop them instead of appending in place.
+	// compile must drop them instead of appending in place.
 	borrowed bool
 
 	view    Match
@@ -353,7 +285,8 @@ type matcher struct {
 }
 
 // compile orders the body and translates it to slot codes, reusing the
-// matcher's buffers so semi-naive seeds recompile without allocating.
+// matcher's buffers so repeated compiles (full enumerations, CompileBody's
+// seeds) do not allocate.
 func (m *matcher) compile(body []*Atom, cons []deltaConstraint, start int) {
 	if m.borrowed {
 		// The previous call installed a shared BodyProgram; appending into
@@ -362,18 +295,19 @@ func (m *matcher) compile(body []*Atom, cons []deltaConstraint, start int) {
 		m.borrowed = false
 	}
 	m.orderBody(body, cons, start)
-	m.slotVar = m.slotVar[:0]
-	m.slotID = m.slotID[:0]
 	total := 0
 	for _, a := range m.body {
 		total += len(a.ids)
 	}
+	// A body has at most one slot per argument: size the slot table once.
+	m.slotVar = slices.Grow(m.slotVar[:0], total)
+	m.slotID = slices.Grow(m.slotID[:0], total)
+	m.code = slices.Grow(m.code[:0], len(m.body))
 	if cap(m.codeArena) < total {
 		m.codeArena = make([]int32, total)
 	} else {
 		m.codeArena = m.codeArena[:total]
 	}
-	m.code = m.code[:0]
 	off := 0
 	for _, a := range m.body {
 		code := m.codeArena[off : off+len(a.ids)]
@@ -518,7 +452,7 @@ func (m *matcher) undo(mark int) {
 	m.trail = m.trail[:mark]
 }
 
-// Match is the id-level view of one homomorphism, yielded by MatchAllExt.
+// Match is the id-level view of one homomorphism, yielded by a Matcher.
 // It is a window into the matcher's state: valid only until the yield
 // callback returns.
 type Match struct {

@@ -1,18 +1,25 @@
 package logic
 
-// This file implements precompiled body programs: the instance-independent
-// part of the matcher's per-seed compilation — join order, argument slot
-// codes, and the slot table — frozen into an immutable value that can be
-// compiled once per (body, seed) and reused across rounds, runs, and
-// worker goroutines. The semi-naive join order for a fixed seed position
-// depends only on the body (orderBody consults the instance only when no
-// seed is given), so a BodyProgram enumerates exactly the homomorphisms,
-// in exactly the order, that a fresh compile of the same (body, seed)
-// would. The cross-request compilation cache (internal/compile) holds one
-// program per (TGD, seed position).
+// This file implements body programs, the semi-naive half of homomorphism
+// search. A semi-naive round enumerates the homomorphisms whose image
+// touches the delta [deltaStart, inst.Len()) by the standard
+// decomposition: for each seed position i, body[0..i-1] map to old atoms,
+// body[i] to a delta atom, the rest anywhere, so each homomorphism is
+// produced exactly once (body[i] is the first body atom to land in the
+// delta). The join is evaluated seed-first, so a round's work is
+// proportional to the delta, not the instance.
+//
+// With the seed placed first, orderBody's greedy placement depends only
+// on the body, so the join order, argument slot codes and slot table of
+// every seed are instance-independent. Matcher.CompileBody freezes them
+// into immutable BodyPrograms, compiled once per body and shared across
+// rounds, runs and worker goroutines; a round only supplies the age
+// windows, which a Matcher applies when it installs a program. The chase
+// engine compiles one program set per TGD set, and the cross-request
+// compilation cache (internal/compile) shares that set between runs.
 
 // BodyProgram is a conjunctive body compiled for a fixed semi-naive seed
-// position. It is immutable after CompileBodySeed and safe to share across
+// position. It is immutable after CompileBody and safe to share across
 // any number of Matchers concurrently: running matchers read the program
 // and keep their bindings in their own slot arrays.
 type BodyProgram struct {
@@ -25,43 +32,70 @@ type BodyProgram struct {
 	seedPid int32 // the seed atom's predicate id (delta-skip probe)
 }
 
-// CompileBodySeed compiles the body for the given seed position. It
-// returns nil when the body is empty or seed is out of range (mirroring
-// MatchShard's empty shard behavior).
-func CompileBodySeed(body []*Atom, seed int) *BodyProgram {
-	if len(body) == 0 || seed < 0 || seed >= len(body) {
+// CompileBody compiles body for every seed position, in body order,
+// through the Matcher's scratch buffers, so compiling a whole TGD set on
+// one Matcher allocates little beyond the programs; the programs of one
+// body share their backing arrays and keep no reference to the Matcher.
+// It returns nil for an empty body, which has no seed position and hence
+// no semi-naive match.
+func (mm *Matcher) CompileBody(body []*Atom) []*BodyProgram {
+	n := len(body)
+	if n == 0 {
 		return nil
 	}
-	var m matcher
-	m.compile(body, m.anyAgeCons(len(body)), seed)
-	prog := &BodyProgram{
-		body:    append([]*Atom(nil), m.body...),
-		perm:    append([]int(nil), m.ordPerm...),
-		slotVar: append([]Variable(nil), m.slotVar...),
-		slotID:  append([]int32(nil), m.slotID...),
-		seed:    seed,
-		seedPid: body[seed].pid,
+	ids := 0
+	for _, a := range body {
+		ids += len(a.ids)
 	}
-	// Re-slice the code views over a private arena so the program does not
-	// retain the scratch matcher.
-	arena := append([]int32(nil), m.codeArena[:len(m.codeArena)]...)
-	prog.code = make([][]int32, len(m.code))
-	off := 0
-	for i, c := range m.code {
-		prog.code[i] = arena[off : off+len(c)]
-		off += len(c)
+	m := &mm.m
+	cons := m.anyAgeCons(n)
+	progs := make([]BodyProgram, n)
+	out := make([]*BodyProgram, n)
+	// Every seed orders the same n atoms and slots the same variables, so
+	// exact-capacity arenas hold all n programs and never reallocate.
+	var (
+		atoms  = make([]*Atom, 0, n*n)
+		perms  = make([]int, 0, n*n)
+		codes  = make([][]int32, 0, n*n)
+		arena  = make([]int32, 0, n*ids)
+		vars   []Variable
+		varIDs []int32
+	)
+	for seed := range body {
+		m.compile(body, cons, seed)
+		if vars == nil {
+			vars = make([]Variable, 0, n*len(m.slotVar))
+			varIDs = make([]int32, 0, n*len(m.slotID))
+		}
+		p := &progs[seed]
+		p.body = carve(&atoms, m.body)
+		p.perm = carve(&perms, m.ordPerm)
+		p.slotVar = carve(&vars, m.slotVar)
+		p.slotID = carve(&varIDs, m.slotID)
+		start := len(codes)
+		for _, c := range m.code {
+			codes = append(codes, carve(&arena, c))
+		}
+		p.code = codes[start:len(codes):len(codes)]
+		p.seed = seed
+		p.seedPid = body[seed].pid
+		out[seed] = p
 	}
-	return prog
+	return out
 }
 
-// Seed returns the original body index of the program's seed atom.
-func (p *BodyProgram) Seed() int { return p.seed }
+// carve appends src to the arena *buf and returns the appended part,
+// capped so that appending to it cannot overwrite a neighbour.
+func carve[T any](buf *[]T, src []T) []T {
+	start := len(*buf)
+	*buf = append(*buf, src...)
+	return (*buf)[start:len(*buf):len(*buf)]
+}
 
 // install points the matcher at the program's read-only compiled body and
-// materializes this round's delta constraints: atoms before the seed (in
+// materializes this round's age windows: atoms before the seed (in
 // original body order) must predate deltaStart, the seed's image must land
-// in [lo, hi), later atoms are unconstrained — the same windows
-// seedConstraints builds before a fresh compile permutes them.
+// in [lo, hi), later atoms are unconstrained.
 func (m *matcher) install(prog *BodyProgram, deltaStart, lo, hi int) {
 	m.body = prog.body
 	m.code = prog.code
@@ -94,18 +128,15 @@ func (m *matcher) install(prog *BodyProgram, deltaStart, lo, hi int) {
 	}
 }
 
-// MatchAllProgs is the program-driven form of MatchAllExt's semi-naive
-// branch: progs holds one compiled program per seed position of the same
-// body, and the enumeration — including the per-seed delta-skip probe —
-// is identical, match for match and in order, to
-// MatchAllExt(body, inst, deltaStart, yield) for deltaStart >= 0.
+// MatchAllProgs is the semi-naive enumeration: progs is CompileBody(body),
+// and every homomorphism from body into inst whose image uses at least one
+// atom with insertion sequence >= deltaStart is yielded exactly once, seed
+// by seed. A seed whose predicate gained no atoms since deltaStart
+// has nothing to enumerate and is skipped.
 func (mm *Matcher) MatchAllProgs(progs []*BodyProgram, inst *Instance, deltaStart int, yield func(*Match) bool) {
-	m := &mm.m
-	m.view.m = m
-	m.inst = inst
-	m.stopped = false
+	m := mm.reset(inst)
 	for _, prog := range progs {
-		if prog == nil || !inst.HasDeltaFor(prog.seedPid, deltaStart) {
+		if !inst.HasDeltaFor(prog.seedPid, deltaStart) {
 			continue
 		}
 		m.install(prog, deltaStart, deltaStart, maxSeq)
@@ -115,19 +146,23 @@ func (mm *Matcher) MatchAllProgs(progs []*BodyProgram, inst *Instance, deltaStar
 	}
 }
 
-// MatchShardProg is the program-driven form of MatchShard: it enumerates
-// the shard of the program's seed with the seed image's insertion sequence
-// in [lo, hi), yielding exactly what MatchShard(body, inst, deltaStart,
-// prog.Seed(), lo, hi, yield) would. It returns false when yield stopped
-// the enumeration.
+// MatchShardProg enumerates one shard of MatchAllProgs: the homomorphisms
+// of prog's seed whose seed image has insertion sequence in [lo, hi).
+//
+// Sharding is exact and order-compatible: partitioning [deltaStart,
+// inst.Len()) into windows for every program and concatenating the shards
+// by (seed, lo) reproduces MatchAllProgs' yield order exactly — candidate
+// lists are in insertion order, so the seed atom (placed first in the
+// join) walks its window in the same relative order the unsharded
+// enumeration would. The parallel chase collector relies on this to merge
+// per-shard trigger buffers back into the sequential engine's order.
+//
+// MatchShardProg only reads the instance and the program, so distinct
+// Matchers may shard the same instance concurrently (see the Instance
+// concurrency contract). It returns false when yield stopped the
+// enumeration.
 func (mm *Matcher) MatchShardProg(prog *BodyProgram, inst *Instance, deltaStart, lo, hi int, yield func(*Match) bool) bool {
-	m := &mm.m
-	m.view.m = m
-	m.inst = inst
-	m.stopped = false
-	if prog == nil {
-		return true
-	}
+	m := mm.reset(inst)
 	m.install(prog, deltaStart, lo, hi)
 	return m.run(yield)
 }

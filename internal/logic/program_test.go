@@ -1,99 +1,106 @@
 package logic
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
-// A precompiled BodyProgram must reproduce the fresh-compile enumeration
-// exactly: MatchAllProgs against MatchAllExt, MatchShardProg against
-// MatchShard, for random instances, deltas, and windows. The same Matcher
-// alternates between program-driven and fresh-compile calls, exercising
-// the borrowed-buffer handoff.
-func TestBodyProgramMatchesFreshCompile(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
+// matchBodies are the bodies of the random matcher harness: a single atom,
+// a 2-atom join, the 3-atom e,p,e join, and the repeated-variable
+// e(X,X),p(X) body.
+func matchBodies() [][]*Atom {
 	x, y, z := Variable("X"), Variable("Y"), Variable("Z")
-	bodies := [][]*Atom{
+	return [][]*Atom{
 		{MakeAtom("e", x, y)},
 		{MakeAtom("e", x, y), MakeAtom("e", y, z)},
 		{MakeAtom("e", x, y), MakeAtom("p", y), MakeAtom("e", y, z)},
 		{MakeAtom("e", x, x), MakeAtom("p", x)},
 	}
+}
+
+// randomMatchInstance builds 20–79 random e/p atoms over eight constants.
+func randomMatchInstance(rng *rand.Rand) *Instance {
+	in := NewInstance()
+	total := 20 + rng.Intn(60)
+	for i := 0; i < total; i++ {
+		a := Constant(string(rune('a' + rng.Intn(8))))
+		b := Constant(string(rune('a' + rng.Intn(8))))
+		if rng.Intn(3) == 0 {
+			in.Add(MakeAtom("p", a))
+		} else {
+			in.Add(MakeAtom("e", a, b))
+		}
+	}
+	return in
+}
+
+// MatchShardProg must partition MatchAllProgs' enumeration: concatenating
+// the shards by (seed, window) has to reproduce the exact yield order, for
+// any window partition of the delta. One Matcher serves every call and
+// runs a full enumeration between program runs, so a fresh compile must
+// also leave the installed programs untouched.
+func TestMatchShardProgPartitionsMatchAllProgs(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	bodies := matchBodies()
+	var mm Matcher
 	progs := make([][]*BodyProgram, len(bodies))
 	for bi, body := range bodies {
-		progs[bi] = make([]*BodyProgram, len(body))
-		for seed := range body {
-			progs[bi][seed] = CompileBodySeed(body, seed)
-		}
+		progs[bi] = mm.CompileBody(body)
 	}
 	render := func(m *Match) string { return m.Substitution().String() }
 	for trial := 0; trial < 30; trial++ {
-		in := NewInstance()
-		total := 20 + rng.Intn(60)
-		for i := 0; i < total; i++ {
-			a := Constant(string(rune('a' + rng.Intn(8))))
-			b := Constant(string(rune('a' + rng.Intn(8))))
-			if rng.Intn(3) == 0 {
-				in.Add(MakeAtom("p", a))
-			} else {
-				in.Add(MakeAtom("e", a, b))
-			}
-		}
+		in := randomMatchInstance(rng)
 		deltaStart := rng.Intn(in.Len())
-		var mm Matcher // shared across program-driven and fresh calls on purpose
 		for bi, body := range bodies {
-			var want, got []string
-			mm.MatchAllExt(body, in, deltaStart, func(m *Match) bool {
+			var want []string
+			mm.MatchAllProgs(progs[bi], in, deltaStart, func(m *Match) bool {
 				want = append(want, render(m))
 				return true
 			})
-			mm.MatchAllProgs(progs[bi], in, deltaStart, func(m *Match) bool {
-				got = append(got, render(m))
-				return true
-			})
+			full, ref := 0, 0
+			mm.MatchAllExt(body, in, func(*Match) bool { full++; return true })
+			MatchAll(body, in, func(Substitution) bool { ref++; return true })
+			if full != ref {
+				t.Fatalf("trial %d body %v: full enumeration after a program run found %d matches, want %d",
+					trial, body, full, ref)
+			}
+			// Concatenate shards: for each seed, random windows over the delta.
+			var got []string
+			for _, prog := range progs[bi] {
+				lo := deltaStart
+				for lo < in.Len() {
+					hi := lo + 1 + rng.Intn(in.Len()-lo)
+					if rng.Intn(4) == 0 {
+						hi = maxSeq // occasionally an open window
+					}
+					mm.MatchShardProg(prog, in, deltaStart, lo, hi, func(m *Match) bool {
+						got = append(got, render(m))
+						return true
+					})
+					if hi == maxSeq {
+						break
+					}
+					lo = hi
+				}
+			}
 			if len(got) != len(want) {
-				t.Fatalf("trial %d body %v: programs yield %d matches, fresh compile %d",
+				t.Fatalf("trial %d body %v: shards yield %d matches, MatchAllProgs %d",
 					trial, body, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("trial %d body %v: match %d differs: program %q, fresh %q",
+					t.Fatalf("trial %d body %v: match %d differs: shard order %q, unsharded order %q",
 						trial, body, i, got[i], want[i])
-				}
-			}
-			// Random shard windows per seed.
-			for seed := range body {
-				lo := deltaStart
-				for lo < in.Len() {
-					hi := lo + 1 + rng.Intn(in.Len()-lo)
-					var ws, wp []string
-					mm.MatchShard(body, in, deltaStart, seed, lo, hi, func(m *Match) bool {
-						ws = append(ws, render(m))
-						return true
-					})
-					mm.MatchShardProg(progs[bi][seed], in, deltaStart, lo, hi, func(m *Match) bool {
-						wp = append(wp, render(m))
-						return true
-					})
-					if len(ws) != len(wp) {
-						t.Fatalf("trial %d body %v seed %d [%d,%d): shard %d vs program %d matches",
-							trial, body, seed, lo, hi, len(ws), len(wp))
-					}
-					for i := range ws {
-						if ws[i] != wp[i] {
-							t.Fatalf("trial %d body %v seed %d: match %d differs: %q vs %q",
-								trial, body, seed, i, ws[i], wp[i])
-						}
-					}
-					lo = hi
 				}
 			}
 		}
 	}
 }
 
-// Early yield-stop through a program must not poison later fresh compiles
-// on the same matcher, and vice versa.
+// Early yield-stop through a program must not poison a later full
+// enumeration on the same matcher, and vice versa.
 func TestBodyProgramEarlyStopAndReuse(t *testing.T) {
 	x, y := Variable("X"), Variable("Y")
 	body := []*Atom{MakeAtom("e", x, y)}
@@ -101,8 +108,8 @@ func TestBodyProgramEarlyStopAndReuse(t *testing.T) {
 	for _, c := range "abcd" {
 		in.Add(MakeAtom("e", Constant(string(c)), Constant("t")))
 	}
-	prog := CompileBodySeed(body, 0)
 	var mm Matcher
+	prog := mm.CompileBody(body)[0]
 	n := 0
 	if mm.MatchShardProg(prog, in, 0, 0, maxSeq, func(*Match) bool { n++; return false }) {
 		t.Fatal("early stop must report false")
@@ -111,14 +118,72 @@ func TestBodyProgramEarlyStopAndReuse(t *testing.T) {
 		t.Fatalf("expected 1 yield before stop, got %d", n)
 	}
 	count := 0
-	mm.MatchAllExt(body, in, -1, func(*Match) bool { count++; return true })
+	mm.MatchAllExt(body, in, func(*Match) bool { count++; return true })
 	if count != 4 {
-		t.Fatalf("fresh compile after program run found %d matches, want 4", count)
+		t.Fatalf("full enumeration after program run found %d matches, want 4", count)
 	}
-	// The program itself must be untouched by the interleaved fresh compile.
+	// The program itself must be untouched by the interleaved compile.
 	count = 0
 	mm.MatchShardProg(prog, in, 0, 0, maxSeq, func(*Match) bool { count++; return true })
 	if count != 4 {
 		t.Fatalf("program rerun found %d matches, want 4", count)
+	}
+}
+
+// Programs are shared read-only across goroutines: matchers on several
+// goroutines install the same programs at once, as the parallel chase
+// collector's workers do, and each must see exactly the sequential
+// enumeration.
+func TestBodyProgramConcurrentShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	bodies := matchBodies()
+	in := randomMatchInstance(rng)
+	deltaStart := in.Len() / 3
+	render := func(m *Match) string { return m.Substitution().String() }
+	progs := make([][]*BodyProgram, len(bodies))
+	want := make([][]string, len(bodies))
+	var mm Matcher
+	for bi, body := range bodies {
+		progs[bi] = mm.CompileBody(body)
+		mm.MatchAllProgs(progs[bi], in, deltaStart, func(m *Match) bool {
+			want[bi] = append(want[bi], render(m))
+			return true
+		})
+	}
+	const goroutines = 4
+	errs := make(chan string, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(width int) {
+			defer wg.Done()
+			var mm Matcher
+			for bi := range bodies {
+				var got []string
+				for _, prog := range progs[bi] {
+					for lo := deltaStart; lo < in.Len(); lo += width {
+						mm.MatchShardProg(prog, in, deltaStart, lo, lo+width, func(m *Match) bool {
+							got = append(got, render(m))
+							return true
+						})
+					}
+				}
+				if len(got) != len(want[bi]) {
+					errs <- fmt.Sprintf("width %d body %d: %d matches, want %d", width, bi, len(got), len(want[bi]))
+					return
+				}
+				for i := range got {
+					if got[i] != want[bi][i] {
+						errs <- fmt.Sprintf("width %d body %d: match %d is %q, want %q", width, bi, i, got[i], want[bi][i])
+						return
+					}
+				}
+			}
+		}(g + 1)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -122,17 +122,9 @@ func PredOfID(id int32) Predicate {
 	return (*symtab.predList.Load())[id]
 }
 
-// lookupTermID returns the id of the term without interning it; ok is
-// false when the term was never seen. Read-only queries use it so that
-// probing for absent symbols does not grow the table.
-func lookupTermID(t Term) (int32, bool) {
-	if n, isNull := t.(*Null); isNull {
-		return n.gid, true
-	}
-	return symtab.lookup(t)
-}
-
-// lookupPredID is lookupTermID for predicates.
+// lookupPredID returns the id of the predicate without interning it; ok
+// is false when the predicate was never seen. Read-only queries use it so
+// that probing for absent symbols does not grow the table.
 func lookupPredID(p Predicate) (int32, bool) {
 	id, ok := symtab.preds.Load(p)
 	if !ok {

@@ -118,7 +118,7 @@ func TestCloneSharesAtomsIndependently(t *testing.T) {
 	if in.Has(extra) {
 		t.Fatal("clone mutation visible in original")
 	}
-	if got := len(in.AtPosition(Predicate{Name: "p", Arity: 1}, 0, Constant("z"))); got != 0 {
+	if got := len(in.atPositionID(extra.pid, 0, extra.ids[0])); got != 0 {
 		t.Fatalf("original index sees clone's atom (%d entries)", got)
 	}
 	extra2 := MakeAtom("q", Constant("w"))

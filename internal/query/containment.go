@@ -45,7 +45,7 @@ func (q *CQ) ContainedIn(other *CQ) (bool, error) {
 	}
 	frozen, frozenAnswer := q.freeze()
 	found := false
-	logic.MatchAll(other.Body, frozen, -1, func(h logic.Substitution) bool {
+	logic.MatchAll(other.Body, frozen, func(h logic.Substitution) bool {
 		for i, v := range other.Answer {
 			if logic.IDOf(h[v]) != logic.IDOf(frozenAnswer[i]) {
 				return true
